@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import weakref
+from functools import partial
+from heapq import heappop, heappush
 from itertools import count
 from typing import TYPE_CHECKING, Any, Iterable
 
@@ -15,7 +17,6 @@ from repro.des.events import (
     Process,
     Timeout,
 )
-from repro.des.schedulers import SchedulerBackend, make_scheduler
 from repro.obs.context import active_metrics, active_probe, active_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -139,17 +140,10 @@ class Environment:
     Time is a float in model units (the models in this repository use
     seconds unless stated otherwise).  Events scheduled at equal times are
     ordered by priority, then insertion order, which makes every run with
-    the same seed exactly reproducible — on **every** scheduler backend:
-    the queue entry is the tuple ``(time, priority, seq, event)`` and
-    ``seq`` is unique, so the execution order is a property of the
-    entries, not of the structure holding them.
-
-    The structure itself is pluggable (see :mod:`repro.des.schedulers`):
-    ``scheduler`` accepts a registered backend name (``"heap"``,
-    ``"calendar"``), a :class:`~repro.des.schedulers.SchedulerBackend`
-    instance, or a factory; ``None`` uses the process default
-    (:func:`repro.des.set_default_scheduler`, which is what
-    ``repro run/bench --scheduler NAME`` flips).
+    the same seed exactly reproducible: the queue is a binary heap of
+    ``(time, priority, seq, event)`` tuples and ``seq`` is unique, so
+    tuple comparison never reaches the event and the execution order
+    is a total order on the entries.
 
     Examples
     --------
@@ -172,21 +166,17 @@ class Environment:
         tracer: "Tracer | None" = None,
         metrics: "MetricRegistry | None" = None,
         probe: "Probe | None" = None,
-        scheduler: "str | SchedulerBackend | None" = None,
     ):
         self._now = float(initial_time)
-        self._scheduler = make_scheduler(scheduler)
-        # Bound once: the schedule/run hot paths call these without
-        # re-resolving backend attributes per event.
-        self._push = self._scheduler.push
-        self._pop_due = self._scheduler.pop_due
-        self._seq = count()
-        self._next_seq = self._seq.__next__
+        #: Pending ``(time, priority, seq, event)`` entries, a heap.
+        self._queue: list[tuple[float, int, int, Event]] = []
+        # Bound once: one C-level call per push, no per-event lookups.
+        self._push = partial(heappush, self._queue)
+        self._next_seq = count().__next__
         self._active_process: Process | None = None
         self._n_scheduled = 0
         self._n_executed = 0
         self._peak_heap = 0
-        self._pending = 0
         self._probe_next = _INF
         # Fused observability gate: the run loop pays exactly one float
         # comparison per event (``event_time >= self._hook_next``).
@@ -226,16 +216,6 @@ class Environment:
     def active_process(self) -> Process | None:
         """The process currently being resumed, if any."""
         return self._active_process
-
-    @property
-    def scheduler(self) -> SchedulerBackend:
-        """The scheduler backend holding this environment's queue."""
-        return self._scheduler
-
-    @property
-    def scheduler_name(self) -> str:
-        """Registry name of the active scheduler backend."""
-        return self._scheduler.name
 
     @property
     def tracer(self) -> "Tracer | None":
@@ -290,61 +270,44 @@ class Environment:
         ``delay`` must be finite and non-negative.  NaN is rejected
         explicitly: it compares false against everything, so a
         ``delay < 0`` guard alone would admit it and the NaN timestamp
-        would then poison the queue order nondeterministically (every
+        would then poison the heap order nondeterministically (every
         comparison involving the entry is false, so *where* it
-        surfaces depends on the backend's internal layout).  ``+inf``
-        is rejected for the same reason it is useless: the event could
-        never fire, but would pin ``peek()`` and corrupt the clock if
-        it ever drained.
+        surfaces depends on the heap's layout).  ``+inf`` is rejected
+        for the same reason it is useless: the event could never
+        fire, but would pin ``peek()`` and corrupt the clock if it
+        ever drained.
         """
         if not 0.0 <= delay < _INF:
             if delay < 0.0:
                 raise ValueError(f"negative delay {delay}")
             raise ValueError(f"non-finite delay {delay}")
-        time = self._now + delay
+        self._enqueue(event, self._now + delay, priority)
+
+    def _enqueue(self, event: Event, time: float, priority: int) -> None:
+        """Push ``event`` at absolute ``time``, count it and trace it.
+
+        The one enqueue body: :meth:`schedule` calls it after
+        validating the delay, and :class:`~repro.des.events.Timeout`
+        calls it directly after validating its own.
+        """
         self._push((time, priority, self._next_seq(), event))
         self._n_scheduled += 1
         _KERNEL.events_scheduled += 1
-        pending = self._pending + 1
-        self._pending = pending
-        if pending > self._peak_heap:
-            self._peak_heap = pending
-            if pending > _KERNEL.peak_heap_depth:
-                _KERNEL.peak_heap_depth = pending
+        depth = len(self._queue)
+        if depth > self._peak_heap:
+            self._peak_heap = depth
+            if depth > _KERNEL.peak_heap_depth:
+                _KERNEL.peak_heap_depth = depth
         if self._emit_schedule:
             self._tracer.emit(
                 self._now, "schedule", type(event).__name__,
                 at=time, priority=priority,
             )
 
-    def _schedule_fast(self, event: Event, time: float) -> None:
-        """Hot-path twin of :meth:`schedule` for pre-validated events.
-
-        Takes the *absolute* timestamp and assumes NORMAL priority;
-        :class:`~repro.des.events.Timeout` calls this after validating
-        its delay once, skipping the re-validation and the
-        ``now + delay`` recomputation a ``schedule()`` round trip
-        would pay.  Keep the bookkeeping in lockstep with
-        :meth:`schedule` — both must count and trace identically.
-        """
-        self._push((time, NORMAL, self._next_seq(), event))
-        self._n_scheduled += 1
-        _KERNEL.events_scheduled += 1
-        pending = self._pending + 1
-        self._pending = pending
-        if pending > self._peak_heap:
-            self._peak_heap = pending
-            if pending > _KERNEL.peak_heap_depth:
-                _KERNEL.peak_heap_depth = pending
-        if self._emit_schedule:
-            self._tracer.emit(
-                self._now, "schedule", type(event).__name__,
-                at=time, priority=NORMAL,
-            )
-
     def peek(self) -> float:
         """Time of the next scheduled event (``inf`` if none)."""
-        return self._scheduler.peek_time()
+        queue = self._queue
+        return queue[0][0] if queue else _INF
 
     def _fire_hooks(self, event_time: float, event: Event) -> None:
         """Cold half of the fused observability gate.
@@ -376,40 +339,52 @@ class Environment:
             if not owners:
                 tracer.emit(
                     event_time, "step", type(event).__name__,
-                    ok=event._ok, pending=self._pending,
+                    ok=event._ok, pending=len(self._queue),
                 )
             elif len(owners) == 1:
                 tracer.emit(
                     event_time, "step", type(event).__name__,
-                    ok=event._ok, pending=self._pending,
+                    ok=event._ok, pending=len(self._queue),
                     proc=owners[0],
                 )
             else:
                 tracer.emit(
                     event_time, "step", type(event).__name__,
-                    ok=event._ok, pending=self._pending,
+                    ok=event._ok, pending=len(self._queue),
                     proc=owners[0], procs=tuple(owners),
                 )
 
     def step(self) -> None:
         """Process exactly one event (the earliest scheduled one)."""
-        entry = self._pop_due(_INF)
-        if entry is None:
+        queue = self._queue
+        if not queue:
             raise EmptySchedule("no more events")
-        event_time = entry[0]
-        event = entry[3]
-        self._now = event_time
-        self._n_executed += 1
-        _KERNEL.events_executed += 1
-        self._pending -= 1
-        if event_time >= self._hook_next:
-            self._fire_hooks(event_time, event)
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-        if event._ok is False and not event._defused:
-            # Nobody handled the failure: surface it to the caller of run().
-            raise event._value
+        self._loop(_INF, queue[0][3])
+
+    def _loop(self, horizon: float, stop: Event | None) -> None:
+        """The run loop: pop and process events due at or before
+        ``horizon`` until the queue runs dry there, or until ``stop``
+        has been processed.  Every way of advancing the clock —
+        :meth:`run` in all its forms and :meth:`step` — goes through
+        here, so the per-event cost is one heap pop, the counter
+        increments, one hook comparison and one identity test."""
+        queue = self._queue
+        kernel = _KERNEL
+        while queue and queue[0][0] <= horizon:
+            event_time, _, _, event = heappop(queue)
+            self._now = event_time
+            self._n_executed += 1
+            kernel.events_executed += 1
+            if event_time >= self._hook_next:
+                self._fire_hooks(event_time, event)
+            callbacks, event.callbacks = event.callbacks, None
+            for callback in callbacks:
+                callback(event)
+            if event._ok is False and not event._defused:
+                # Nobody handled the failure: surface it to the caller.
+                raise event._value
+            if event is stop:
+                return
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run the simulation.
@@ -458,12 +433,10 @@ class Environment:
                     "run(until=event) got an event from a different "
                     "environment"
                 )
+            if not until.processed:
+                self._loop(_INF, until)
             if until.processed:
                 return until.value
-            while self._pending:
-                self.step()
-                if until.processed:
-                    return until.value
             raise EmptySchedule(
                 "event queue drained before the target event triggered"
             )
@@ -478,28 +451,7 @@ class Environment:
                     f"{self._now}"
                 )
 
-        # The fused hot loop.  Mirrors step() exactly (keep the two in
-        # sync); inlined here so the per-event cost is one backend
-        # call, the counter increments and a single hook comparison.
-        pop_due = self._pop_due
-        kernel = _KERNEL
-        while True:
-            entry = pop_due(horizon)
-            if entry is None:
-                break
-            event_time = entry[0]
-            event = entry[3]
-            self._now = event_time
-            self._n_executed += 1
-            kernel.events_executed += 1
-            self._pending -= 1
-            if event_time >= self._hook_next:
-                self._fire_hooks(event_time, event)
-            callbacks, event.callbacks = event.callbacks, None
-            for callback in callbacks:
-                callback(event)
-            if event._ok is False and not event._defused:
-                raise event._value
+        self._loop(horizon, None)
         if horizon < _INF:
             self._now = horizon
         return None
@@ -516,9 +468,9 @@ class Environment:
             "events_scheduled": self._n_scheduled,
             "events_executed": self._n_executed,
             "peak_heap_depth": self._peak_heap,
-            "pending": self._pending,
+            "pending": len(self._queue),
             "now": self._now,
         }
 
     def __repr__(self) -> str:
-        return f"Environment(now={self._now}, pending={self._pending})"
+        return f"Environment(now={self._now}, pending={len(self._queue)})"

@@ -137,8 +137,8 @@ class Timeout(Event):
     ``delay < 0`` guard would silently admit it and poison the queue
     order).  This is the hottest allocation in every model
     (``env.timeout()``), so the constructor initialises the event
-    fields inline and schedules through the pre-validated
-    ``_schedule_fast`` path instead of ``Event.__init__`` +
+    fields inline and, having validated the delay once, enqueues
+    directly instead of going through ``Event.__init__`` +
     ``Environment.schedule``.
     """
 
@@ -155,7 +155,7 @@ class Timeout(Event):
         self._ok = True
         self._defused = False
         self.delay = delay = float(delay)
-        env._schedule_fast(self, env._now + delay)
+        env._enqueue(self, env._now + delay, NORMAL)
 
 
 class Interrupt(Exception):

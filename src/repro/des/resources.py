@@ -53,7 +53,12 @@ class Request(Event):
         return self
 
     def __exit__(self, exc_type, exc_value, traceback) -> bool:
-        self.resource.release(self)
+        # GeneratorExit means the process's generator is being closed,
+        # in practice by the garbage collector finalizing an abandoned
+        # simulation; granting to its waiters then would tick metrics
+        # at moments chosen by the collector, not by the model.
+        if exc_type is not GeneratorExit:
+            self.resource.release(self)
         return False
 
     def cancel(self) -> None:

@@ -201,8 +201,7 @@ def measure_experiment(exp_id: str, *, repeat: int = 3,
 
 
 def run_bench(ids: Sequence[str], *, repeat: int = 3, seed: int = 0,
-              workers: int = 1, replicas: int = 1,
-              live: bool = False, scheduler: str | None = None,
+              workers: int = 1, replicas: int = 1, live: bool = False,
               progress: Callable[[str], None] | None = None
               ) -> dict[str, Any]:
     """Measure ``ids`` and assemble the full bench document.
@@ -210,10 +209,7 @@ def run_bench(ids: Sequence[str], *, repeat: int = 3, seed: int = 0,
     ``live`` streams per-replica progress to stderr while each
     replicated repetition runs (display only; ignored when
     ``replicas == 1`` since plain repetitions have no sweep to
-    watch).  ``scheduler`` names the DES backend the measurements ran
-    under; recorded in ``meta`` when it is not the default so
-    per-backend documents are distinguishable (stripped for payload
-    comparison — backends are byte-equivalent by contract).
+    watch).
     """
     records = []
     for exp_id in ids:
@@ -235,8 +231,6 @@ def run_bench(ids: Sequence[str], *, repeat: int = 3, seed: int = 0,
         meta["replicas"] = replicas
     if workers > 1:
         meta["workers"] = workers
-    if scheduler is not None and scheduler != "heap":
-        meta["scheduler"] = scheduler
     return {
         "schema": SCHEMA_NAME,
         "schema_version": SCHEMA_VERSION,
@@ -336,9 +330,6 @@ def strip_timings(document: dict[str, Any]) -> dict[str, Any]:
     meta = stripped.get("meta")
     if isinstance(meta, dict):
         meta.pop("workers", None)
-        # Scheduler backends are byte-equivalent by contract, so the
-        # backend is execution geometry too.
-        meta.pop("scheduler", None)
     for record in stripped.get("experiments", []):
         for field in TIMING_FIELDS:
             record.pop(field, None)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.des import EmptySchedule, Environment, URGENT
+from repro.des import NORMAL, URGENT, EmptySchedule, Environment
 
 
 class TestClock:
@@ -101,19 +101,73 @@ class TestOrdering:
         with pytest.raises(ValueError):
             env.schedule(env.event(), delay=-1)
 
-    @given(st.lists(st.floats(min_value=0, max_value=100,
-                              allow_nan=False), min_size=1, max_size=30))
-    def test_events_processed_in_time_order(self, delays):
+    @given(st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from([0.0, 1.5, 10.0]),
+                      st.floats(min_value=0, max_value=100,
+                                allow_nan=False)),
+            st.sampled_from([URGENT, NORMAL]),
+            st.one_of(st.none(), st.sampled_from([0.0, 1.5]),
+                      st.floats(min_value=0, max_value=10,
+                                allow_nan=False))),
+        min_size=1, max_size=30))
+    def test_events_processed_in_time_order(self, entries):
+        # Each entry is (delay, priority, follow-up delay or None); a
+        # follow-up is a timeout scheduled while the run is under way.
         env = Environment()
         fired = []
-        def waiter(env, delay):
-            yield env.timeout(delay)
-            fired.append(env.now)
-        for delay in delays:
-            env.process(waiter(env, delay))
+
+        def fire(label, follow_up):
+            def callback(event):
+                fired.append((env.now, label))
+                if follow_up is not None:
+                    env.timeout(follow_up).callbacks.append(
+                        fire(label + "'", None))
+            return callback
+
+        for seq, (delay, priority, follow_up) in enumerate(entries):
+            event = env.event()
+            event._ok = True
+            event._value = None
+            event.callbacks.append(fire(str(seq), follow_up))
+            env.schedule(event, delay, priority)
         env.run()
-        assert fired == sorted(fired)
-        assert len(fired) == len(delays)
+
+        # Reference: repeatedly take the minimum (time, priority,
+        # insertion) entry of a sorted list.
+        pending = [(delay, priority, seq, str(seq), follow_up)
+                   for seq, (delay, priority, follow_up)
+                   in enumerate(entries)]
+        expected = []
+        seq = len(pending)
+        while pending:
+            pending.sort(key=lambda entry: entry[:3])
+            time, _, _, label, follow_up = pending.pop(0)
+            expected.append((time, label))
+            if follow_up is not None:
+                pending.append((time + follow_up, NORMAL, seq,
+                                label + "'", None))
+                seq += 1
+        assert fired == expected
+        times = [time for time, _ in fired]
+        assert times == sorted(times)
+        assert len(fired) == len(entries) + sum(
+            follow_up is not None for _, _, follow_up in entries)
+
+    def test_step_runs_one_of_two_simultaneous_events(self):
+        env = Environment()
+        log = []
+        for name in "ab":
+            env.timeout(1.0).callbacks.append(
+                lambda event, name=name: log.append(name))
+        env.step()
+        assert log == ["a"]
+        assert env.now == 1.0
+        assert env.peek() == 1.0
+        env.step()
+        assert log == ["a", "b"]
+        with pytest.raises(EmptySchedule):
+            env.step()
 
 
 class TestDeterminism:

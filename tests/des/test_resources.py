@@ -1,8 +1,11 @@
 """Tests for resources and priority resources."""
 
+import gc
+
 import pytest
 
 from repro.des import Environment, Interrupt, PriorityResource, Resource
+from repro.obs import MetricRegistry
 
 
 def make_job(env, resource, log, name, hold):
@@ -99,6 +102,24 @@ class TestResource:
         env.run()
         assert log == ["gave-up"]
         assert len(cpu.queue) == 0
+
+
+    def test_collected_simulation_grants_nothing(self):
+        # Collecting an abandoned simulation closes its suspended
+        # processes; the holder's with-block must not hand the
+        # resource on, or the grant lands in a live run's metrics at
+        # a moment chosen by the garbage collector.
+        registry = MetricRegistry()
+        env = Environment(metrics=registry)
+        cpu = Resource(env, capacity=1)
+        for _ in range(3):
+            make_job(env, cpu, [], "job", hold=10)
+        env.run(until=1)
+        grants = registry.counter("resource_grants", resource="resource")
+        assert grants.value == 1
+        del env, cpu
+        gc.collect()
+        assert grants.value == 1
 
 
 class TestPriorityResource:

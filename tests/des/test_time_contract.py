@@ -114,10 +114,9 @@ class TestHorizonValidation:
             env.run(until=5.0)
 
 
-class TestRunUntilIdempotencePerBackend:
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_rerun_to_same_horizon_is_noop(self, scheduler):
-        env = Environment(scheduler=scheduler)
+class TestRunUntilIdempotence:
+    def test_rerun_to_same_horizon_is_noop(self):
+        env = Environment()
         log = []
 
         def proc(env):
@@ -134,9 +133,8 @@ class TestRunUntilIdempotencePerBackend:
         env.run(until=5.0)
         assert log == [1.0, 2.0, 3.0, 4.0, 5.0]
 
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_nan_guards_apply_on_every_backend(self, scheduler):
-        env = Environment(scheduler=scheduler)
+    def test_nan_guards_apply(self):
+        env = Environment()
         with pytest.raises(ValueError):
             env.timeout(math.nan)
         with pytest.raises(ValueError):

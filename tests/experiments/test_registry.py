@@ -62,6 +62,20 @@ class TestRun:
         # A different seed must actually reach the RNG streams.
         assert shifted.metrics != base.metrics
 
+    def test_e12_passes_its_seed_to_the_sweep(self, monkeypatch):
+        from repro import noc
+
+        sweep = noc.bus_vs_noc_sweep
+        seeds = []
+
+        def smallest_size_only(**kwargs):
+            seeds.append(kwargs.get("seed"))
+            return sweep(**{**kwargs, "tile_counts": (4,)})
+
+        monkeypatch.setattr(noc, "bus_vs_noc_sweep", smallest_size_only)
+        experiments.run("e12", seed=7)
+        assert seeds == [7]
+
     def test_trace_is_observational(self):
         plain = experiments.run("f1")
         traced = experiments.run("f1", trace=True)
