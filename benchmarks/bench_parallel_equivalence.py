@@ -1,13 +1,14 @@
 """The CI ``parallel`` gate: fan-out must not change the science.
 
-Two assertions per heavyweight experiment (e3, e14, r1):
+Two assertions per registered experiment (every id in
+:func:`repro.experiments.ids`):
 
 1. **Equivalence** — a replicated run merged from 4 worker processes
    is byte-identical (after :meth:`ExperimentResult.strip_timings`)
    to the same replication merged from a single worker.  This is the
    end-to-end form of the determinism matrix in
-   ``tests/parallel/test_determinism.py``, on the experiments the
-   paper tables actually come from.
+   ``tests/parallel/test_determinism.py``, on every experiment a
+   paper table comes from.
 2. **Consistency** — the pooled KPI means stay inside the min/max
    envelope of the replicas, and every replica's seed matches the
    pure derivation :func:`repro.parallel.replica_seed`.
@@ -33,10 +34,11 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from repro import experiments
 from repro.parallel import FaultPlan, replica_seed, run_replicated
 
-#: The experiments whose published tables the gate protects.
-_GATED = ("e3", "e14", "r1")
 _REPLICAS = 3
 
 
@@ -44,16 +46,24 @@ def _stripped(result) -> str:
     return json.dumps(result.strip_timings(), sort_keys=True)
 
 
-def bench_parallel_equivalence_e3():
-    _assert_equivalent("e3")
+@pytest.mark.parametrize("exp_id", experiments.ids())
+def bench_parallel_equivalence(exp_id):
+    serial = run_replicated(exp_id, replicas=_REPLICAS, workers=1)
+    fanned = run_replicated(exp_id, replicas=_REPLICAS, workers=4)
+    assert _stripped(serial) == _stripped(fanned), (
+        f"{exp_id}: workers=4 merge differs from workers=1"
+    )
 
-
-def bench_parallel_equivalence_e14():
-    _assert_equivalent("e14")
-
-
-def bench_parallel_equivalence_r1():
-    _assert_equivalent("r1")
+    replication = fanned.report.replication
+    assert replication["seeds"] == [
+        replica_seed(0, i) for i in range(_REPLICAS)
+    ]
+    for name, stats in replication["kpis"].items():
+        assert stats["min"] <= stats["mean"] <= stats["max"], (
+            f"{exp_id}: pooled mean of {name} outside replica "
+            f"envelope"
+        )
+        assert fanned.metrics[name] == stats["mean"]
 
 
 def bench_parallel_equivalence_probe_slo():
@@ -98,22 +108,3 @@ def bench_parallel_equivalence_injected_crash():
     )
     assert replication["failed_replicas"] == []
 
-
-def _assert_equivalent(exp_id: str) -> None:
-    assert exp_id in _GATED
-    serial = run_replicated(exp_id, replicas=_REPLICAS, workers=1)
-    fanned = run_replicated(exp_id, replicas=_REPLICAS, workers=4)
-    assert _stripped(serial) == _stripped(fanned), (
-        f"{exp_id}: workers=4 merge differs from workers=1"
-    )
-
-    replication = fanned.report.replication
-    assert replication["seeds"] == [
-        replica_seed(0, i) for i in range(_REPLICAS)
-    ]
-    for name, stats in replication["kpis"].items():
-        assert stats["min"] <= stats["mean"] <= stats["max"], (
-            f"{exp_id}: pooled mean of {name} outside replica "
-            f"envelope"
-        )
-        assert fanned.metrics[name] == stats["mean"]

@@ -412,12 +412,11 @@ RULES: Mapping[str, Rule] = _catalog([
     Rule(
         "SL207", "silently swallowed exception",
         Severity.WARNING,
-        "An `except Exception: pass` (or a swallowed PolicyError "
-        "subclass) masks the very faults the resilience and "
-        "supervision layers exist to surface: a fault injected by the "
-        "chaos harness, or a real timeout/retry-budget/circuit "
-        "failure, vanishes without a trace and the sweep reports "
-        "healthy results it never computed.",
+        "An `except Exception: pass` (or a bare `except`) masks the "
+        "very faults the resilience and supervision layers exist to "
+        "surface: a fault injected by the chaos harness vanishes "
+        "without a trace and the sweep reports healthy results it "
+        "never computed.",
         "Catch the narrowest exception you can actually recover "
         "from, and handle it visibly: record a metric, return a "
         "degraded result, or re-raise.",

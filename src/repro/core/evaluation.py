@@ -6,7 +6,7 @@ either simulation or some analytical approach" (§2.1).
 
 * :class:`SimulationEvaluator` executes the process network on the DES
   kernel: every PE is a FIFO resource, every channel a finite queue, and
-  tokens flow from sources to sinks while monitors collect QoS and energy.
+  tokens flow from sources to sinks while the run collects QoS and energy.
 * :class:`AnalyticalEvaluator` produces fast queueing-theoretic estimates
   (M/M/1 waiting, M/M/1/K loss) of the same metrics — the "analytical
   tools that can quickly derive power/performance estimates" of §2.2.
@@ -24,7 +24,7 @@ from repro.core.application import ApplicationGraph, ProcessNode
 from repro.core.architecture import Platform
 from repro.core.mapping import Mapping
 from repro.core.qos import QoSReport
-from repro.des import Environment, FiniteQueue, Monitor, Resource
+from repro.des import Environment, FiniteQueue, Resource
 from repro.utils.rng import RandomStreams
 
 __all__ = ["Token", "EvaluationResult", "SimulationEvaluator",
@@ -147,8 +147,6 @@ class SimulationEvaluator:
         delivered = [0]
         sourced = [0]
 
-        latency_monitor = Monitor(env, name="latency")
-
         def cycles_for(process: ProcessNode,
                        rng: np.random.Generator) -> float:
             if process.cycles_cv <= 0 or process.cycles_mean == 0:
@@ -207,7 +205,6 @@ class SimulationEvaluator:
             if env.now > warmup:
                 delivered[0] += 1
                 latencies.append(latency)
-                latency_monitor.observe(latency)
                 if (self.token_deadline is not None
                         and latency > self.token_deadline):
                     deadline_misses[0] += 1

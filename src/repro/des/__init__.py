@@ -36,7 +36,6 @@ from repro.des.events import (
     Timeout,
     URGENT,
 )
-from repro.des.monitor import LevelMonitor, Monitor
 from repro.des.resources import (
     PriorityRequest,
     PriorityResource,
@@ -69,6 +68,4 @@ __all__ = [
     "FiniteQueue",
     "StorePut",
     "StoreGet",
-    "Monitor",
-    "LevelMonitor",
 ]

@@ -64,8 +64,8 @@ class Request(Event):
     def cancel(self) -> None:
         """Withdraw the claim — waiting or granted — from the resource.
 
-        Alias of :meth:`Resource.release` so that interrupt/timeout
-        policies can abandon any waiter event uniformly.
+        Alias of :meth:`Resource.release` so that an interrupted
+        process can abandon any waiter event uniformly.
         """
         self.resource.release(self)
 

@@ -41,7 +41,7 @@ class StorePut(Event):
         """Withdraw a still-pending put (no-op once triggered).
 
         A process abandoning a blocked put — after an
-        :class:`~repro.des.events.Interrupt` or a policy timeout — must
+        :class:`~repro.des.events.Interrupt` or a timeout — must
         cancel it, or the store would later accept an item nobody is
         accounting for.
         """

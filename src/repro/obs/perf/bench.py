@@ -15,6 +15,10 @@ and collects, per experiment:
 * peak RSS of the process (``ru_maxrss``), and the experiment's
   deterministic headline KPIs.
 
+The document's ``meta`` also records ``src_loc``, the line count of
+the ``repro`` package sources that were measured, so a design change
+shows in the same document as its performance change.
+
 The result serializes as ``BENCH_perf.json`` — a versioned document
 (:data:`SCHEMA_NAME`/:data:`SCHEMA_VERSION`) that is byte-stable
 across runs modulo the timing fields, so perf trajectories can be
@@ -64,6 +68,13 @@ def _peak_rss_kb() -> int | None:
     if sys.platform == "darwin":  # pragma: no cover - reported in bytes
         peak //= 1024
     return int(peak)
+
+
+def _src_loc() -> int:
+    """Lines in the ``repro`` package's ``*.py`` files."""
+    package = Path(__file__).resolve().parents[2]
+    return sum(len(path.read_text(encoding="utf-8").splitlines())
+               for path in package.rglob("*.py"))
 
 
 def _timing_stats(samples: Sequence[float]) -> dict[str, Any]:
@@ -226,6 +237,7 @@ def run_bench(ids: Sequence[str], *, repeat: int = 3, seed: int = 0,
         "repeat": repeat,
         "seed": seed,
         "ids": [r["id"] for r in records],
+        "src_loc": _src_loc(),
     }
     if replicas > 1:
         meta["replicas"] = replicas

@@ -321,8 +321,7 @@ def run_replicated(
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
     experiment = experiments.get(exp_id)
-    if verify and (experiment.scenario is not None
-                   or experiment.models is not None):
+    if verify and experiment.scenario is not None:
         from repro.check import ModelVerificationError, has_errors
 
         diagnostics = experiments.preflight(exp_id)

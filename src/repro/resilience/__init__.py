@@ -1,4 +1,4 @@
-"""In-simulation fault injection and resilience policies (§5).
+"""In-simulation fault injection and degradation sweeps (§5).
 
 The paper's ambient-multimedia thesis is that distributed multimedia
 systems must "operate with limited resources and failing parts".  This
@@ -9,10 +9,6 @@ offline trace:
   that break and repair live model components (DES resources and
   stores, stream channels, platform PEs and links, running processes)
   on sampled fail/repair schedules;
-* :mod:`repro.resilience.policies` — process combinators
-  (:func:`retry_with_backoff`, :func:`with_timeout`,
-  :class:`Watchdog`, :class:`CircuitBreaker`) that let model code
-  survive those faults gracefully;
 * :mod:`repro.resilience.harness` — QoS-vs-fault-rate sweeps over the
   existing experiments, quantifying *graceful degradation* (the paper's
   redundancy/adaptation claim) against crash-or-stall baselines.
@@ -43,17 +39,6 @@ from repro.resilience.harness import (
     resilience_report,
     stream_pipeline_qos,
 )
-from repro.resilience.policies import (
-    CircuitBreaker,
-    CircuitOpen,
-    DeadlineExceeded,
-    PolicyError,
-    RetryBudgetExceeded,
-    Watchdog,
-    WatchdogTimeout,
-    retry_with_backoff,
-    with_timeout,
-)
 
 __all__ = [
     # faults
@@ -69,16 +54,6 @@ __all__ = [
     "session_fault_plan",
     "all_down_intervals",
     "any_up_fraction",
-    # policies
-    "PolicyError",
-    "DeadlineExceeded",
-    "RetryBudgetExceeded",
-    "CircuitOpen",
-    "WatchdogTimeout",
-    "with_timeout",
-    "retry_with_backoff",
-    "Watchdog",
-    "CircuitBreaker",
     # harness
     "QosPoint",
     "DegradationCurve",

@@ -19,6 +19,7 @@ from repro.check import (
 )
 from repro.experiments.registry import _REGISTRY, Experiment
 from repro.noc import mms_apcg
+from repro.scenario import Scenario
 
 
 class TestRepositoryClean:
@@ -59,20 +60,20 @@ class TestPreflightHook:
         assert experiments.preflight("e1") == []
 
     def test_preflight_prefixes_subjects(self, monkeypatch):
-        def bad_models():
+        def bad_scenario():
             tg = mms_apcg()
             # Regress the model: re-introduce a zero-volume edge.
             tg.dependencies[0].bits = 0.0
-            return [tg]
+            return [Scenario(name=tg.name, task_graph=tg).to_document()]
 
-        self._with_fake_experiment(monkeypatch, bad_models)
+        self._with_fake_experiment(monkeypatch, bad_scenario)
         diags = experiments.preflight("zz-test")
         assert diags, "expected RC107 on the regressed model"
         assert all(d.subject.startswith("experiment:zz-test/")
                    for d in diags)
 
     def test_run_raises_on_error_models(self, monkeypatch):
-        def broken_models():
+        def broken_scenario():
             tg = mms_apcg()
             tg.task("demux").cycles = 1e12
             tg.add_task_deadline = None
@@ -84,25 +85,26 @@ class TestPreflightHook:
             platform = Platform("p")
             platform.add_pe(ProcessingElement("cpu0",
                                               frequency=400e6))
-            return [{"task_graph": tg, "platform": platform}]
+            return [Scenario(name=tg.name, task_graph=tg,
+                             platform=platform).to_document()]
 
-        self._with_fake_experiment(monkeypatch, broken_models)
+        self._with_fake_experiment(monkeypatch, broken_scenario)
         with pytest.raises(ModelVerificationError) as excinfo:
             experiments.run("zz-test")
         assert "RC121" in str(excinfo.value)
 
     def test_run_verify_false_skips_preflight(self, monkeypatch):
-        def broken_models():
-            raise AssertionError("models hook must not be called")
+        def broken_scenario():
+            raise AssertionError("scenario hook must not be called")
 
-        self._with_fake_experiment(monkeypatch, broken_models)
+        self._with_fake_experiment(monkeypatch, broken_scenario)
         result = experiments.run("zz-test", verify=False)
         assert result.raw == "ran"
 
     @staticmethod
-    def _with_fake_experiment(monkeypatch, models):
+    def _with_fake_experiment(monkeypatch, scenario):
         exp = Experiment(id="zz-test", claim="fixture",
-                         runner=lambda ctx: "ran", models=models)
+                         runner=lambda ctx: "ran", scenario=scenario)
         monkeypatch.setitem(_REGISTRY, "zz-test", exp)
 
 

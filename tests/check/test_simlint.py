@@ -261,22 +261,12 @@ class TestSL207SwallowedException:
         """)
         assert "SL207" in rules_of(diags)
 
-    def test_swallowed_policy_error(self):
+    def test_swallowed_dotted_exception_in_tuple(self):
         diags = lint("""
-            from repro.resilience import DeadlineExceeded
+            import builtins
             try:
                 risky()
-            except DeadlineExceeded:
-                pass
-        """)
-        assert "SL207" in rules_of(diags)
-
-    def test_swallowed_dotted_policy_error_in_tuple(self):
-        diags = lint("""
-            from repro import resilience
-            try:
-                risky()
-            except (KeyError, resilience.CircuitOpen):
+            except (KeyError, builtins.Exception):
                 pass
         """)
         assert "SL207" in rules_of(diags)
@@ -297,16 +287,6 @@ class TestSL207SwallowedException:
             except Exception:
                 failures += 1
                 raise
-        """)
-        assert diags == []
-
-    def test_policy_error_with_handling_is_clean(self):
-        diags = lint("""
-            from repro.resilience import CircuitOpen
-            try:
-                risky()
-            except CircuitOpen:
-                result = degraded_answer()
         """)
         assert diags == []
 

@@ -60,6 +60,12 @@ class TestMeasure:
         assert meta["ids"] == ["e16"]
         assert "python" in meta and "platform" in meta
 
+    def test_document_meta_counts_source_lines(self, e16_document):
+        package = Path(__file__).resolve().parents[2] / "src" / "repro"
+        lines = sum(len(path.read_text(encoding="utf-8").splitlines())
+                    for path in package.rglob("*.py"))
+        assert e16_document["meta"]["src_loc"] == lines > 0
+
 
 # ----------------------------------------------------------------------
 # Schema: validate / write / load / strip

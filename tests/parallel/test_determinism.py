@@ -4,8 +4,8 @@ The engine's headline contract: a replicated run's merged payload is
 byte-identical — after :meth:`ExperimentResult.strip_timings` removes
 host timings and execution geometry — for **any** worker count.  The
 matrix here runs cheap experiments with workers 1 and 4; the CI
-``parallel`` job extends the same assertion to the heavyweight
-experiments (see ``benchmarks/bench_parallel_equivalence.py``).
+``parallel`` job extends the same assertion to every registered
+experiment (see ``benchmarks/bench_parallel_equivalence.py``).
 """
 
 import json

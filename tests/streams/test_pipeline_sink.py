@@ -124,3 +124,7 @@ class TestStreamPipeline:
             )
         with pytest.raises(ValueError):
             cbr_pipeline().run(horizon=0.0)
+
+    def test_no_horizon_is_an_error(self):
+        with pytest.raises(TypeError, match="horizon"):
+            cbr_pipeline().run()

@@ -12,7 +12,6 @@ import pytest
 MODULES_WITH_DOCTESTS = [
     "repro.des",
     "repro.des.events",
-    "repro.des.monitor",
     "repro.des.resources",
     "repro.des.stores",
     "repro.utils.rng",
@@ -35,7 +34,6 @@ MODULES_WITH_DOCTESTS = [
     "repro.wireless.packet_channel",
     "repro.asip.retarget",
     "repro.ambient.users",
-    "repro.resilience.policies",
 ]
 
 
