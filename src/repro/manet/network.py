@@ -84,9 +84,9 @@ class ManetNetwork:
         between topology changes, fail→repair cycles that restore an
         earlier topology, and identically-seeded sibling networks in a
         sweep all reuse a built graph instead of an O(n^2) rebuild.
-        Callers share the cached instance: annotating extra edge/graph
-        attributes is fine (the routing protocols do), mutating its
-        structure is not.
+        Callers share the cached instance: annotating graph-level
+        attributes is fine (min-power routing memoizes its routes
+        there), editing edge data or structure is not.
         """
         radio = self.radio
         tx_range = self.tx_range

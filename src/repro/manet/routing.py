@@ -15,11 +15,16 @@ Three protocols over the same connectivity graph:
 
 The battery/lifetime protocols "create additional control traffic",
 modeled as a per-discovery energy surcharge on the route's nodes.
+
+All three search a ``{u: {v: weight}}`` dict built per call from the
+connectivity graph with one heap Dijkstra, which breaks ties as
+networkx's ``dijkstra_path`` and Yen's ``shortest_simple_paths`` do.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from heapq import heappop, heappush
+from itertools import count
 
 from repro.manet.network import ManetNetwork
 
@@ -30,6 +35,104 @@ __all__ = [
     "LifetimePredictionRouting",
     "PROTOCOLS",
 ]
+
+
+def _dijkstra(adj: dict, src, dst, banned_nodes=(),
+              banned_edges=None) -> tuple[float, list] | None:
+    """``(cost, path)`` of the cheapest ``src`` → ``dst`` path in
+    ``adj`` avoiding ``banned_nodes`` and the edges ``u → v`` with
+    ``v in banned_edges[u]``; ``None`` if there is none.  Ties go to
+    the node pushed first; relaxation needs a strictly shorter path.
+    """
+    done = set(banned_nodes)
+    best = {src: 0}
+    pred = {src: None}
+    push = count()
+    fringe = [(0, next(push), src)]
+    while fringe:
+        cost, _, node = heappop(fringe)
+        if node in done:
+            continue
+        if node == dst:
+            path = [node]
+            while pred[path[-1]] is not None:
+                path.append(pred[path[-1]])
+            path.reverse()
+            return cost, path
+        done.add(node)
+        skip = banned_edges.get(node, ()) if banned_edges else ()
+        for nbr, weight in adj[node].items():
+            if nbr in done or nbr in skip:
+                continue
+            through = cost + weight
+            if nbr not in best or through < best[nbr]:
+                best[nbr] = through
+                pred[nbr] = node
+                heappush(fringe, (through, next(push), nbr))
+    return None
+
+
+def _k_shortest_paths(adj: dict, src, dst, k: int) -> list[list]:
+    """Up to ``k`` loopless ``src`` → ``dst`` paths, cheapest first
+    (Yen).  ``adj`` must be symmetric.
+
+    Candidates are ordered by ``(cost, push order)`` and kept once per
+    path; the search stops at the k-th path, before its spurs.
+    """
+    first = _dijkstra(adj, src, dst)
+    if first is None:
+        return []
+    push = count()
+    candidates = [(first[0], next(push), first[1])]
+    queued = {tuple(first[1])}
+    paths: list[list] = []
+    while candidates:
+        _, _, path = heappop(candidates)
+        paths.append(path)
+        if len(paths) == k:
+            break
+        banned_nodes: list = []
+        banned_edges: dict = {}
+        for i in range(1, len(path)):
+            root = path[:i]
+            root_cost = sum(adj[u][v] for u, v in zip(root, root[1:]))
+            for found in paths:
+                if found[:i] == root:
+                    a, b = found[i - 1], found[i]
+                    banned_edges.setdefault(a, set()).add(b)
+                    banned_edges.setdefault(b, set()).add(a)
+            spur = _dijkstra(adj, root[-1], dst, banned_nodes,
+                             banned_edges)
+            if spur is not None:
+                candidate = root[:-1] + spur[1]
+                key = tuple(candidate)
+                if key not in queued:
+                    queued.add(key)
+                    heappush(candidates,
+                             (root_cost + spur[0], next(push), candidate))
+            banned_nodes.append(root[-1])
+    return paths
+
+
+def _battery_weights(graph, network: ManetNetwork, *,
+                     symmetric: bool) -> dict:
+    """``{u: {v: tx_energy_unit / residual}}`` with the residual battery
+    fraction (floored at 1e-6) of the sender ``u``, or with
+    ``symmetric`` of the endpoint ``graph.edges()`` reports first.
+    """
+    adj = graph._adj
+    residual = {
+        u: max(network.node(u).residual_fraction, 1e-6) for u in adj
+    }
+    rank = {u: i for i, u in enumerate(adj)}
+    return {
+        u: {
+            v: data["tx_energy_unit"] / residual[
+                v if symmetric and rank[v] < rank[u] else u]
+            for v, data in nbrs.items()
+        }
+        for u, nbrs in adj.items()
+    }
 
 
 class RoutingProtocol:
@@ -50,9 +153,6 @@ class RoutingProtocol:
         """Route from ``src`` to ``dst`` or ``None`` if unreachable."""
         raise NotImplementedError
 
-    def _graph(self, network: ManetNetwork) -> nx.Graph:
-        return network.connectivity_graph()
-
 
 class MinimumPowerRouting(RoutingProtocol):
     """Least-transmit-energy path (Dijkstra on TX energy), per [30]."""
@@ -62,7 +162,7 @@ class MinimumPowerRouting(RoutingProtocol):
 
     def find_route(self, network: ManetNetwork, src: int,
                    dst: int) -> list[int] | None:
-        graph = self._graph(network)
+        graph = network.connectivity_graph()
         if src not in graph or dst not in graph:
             return None
         # Min-power link costs depend only on the topology, so for a
@@ -76,12 +176,12 @@ class MinimumPowerRouting(RoutingProtocol):
         # tx_energy_unit is precomputed per edge at graph build (the
         # same radio.tx_energy(1.0, distance) value this protocol used
         # to evaluate per relaxation).
-        try:
-            route = nx.dijkstra_path(graph, src, dst,
-                                     weight="tx_energy_unit")
-        except nx.NetworkXNoPath:
-            route = None
-        memo[(src, dst)] = route
+        adj = {
+            u: {v: data["tx_energy_unit"] for v, data in nbrs.items()}
+            for u, nbrs in graph._adj.items()
+        }
+        found = _dijkstra(adj, src, dst)
+        route = memo[(src, dst)] = found[1] if found else None
         return route
 
 
@@ -97,18 +197,12 @@ class BatteryCostRouting(RoutingProtocol):
 
     def find_route(self, network: ManetNetwork, src: int,
                    dst: int) -> list[int] | None:
-        graph = self._graph(network)
+        graph = network.connectivity_graph()
         if src not in graph or dst not in graph:
             return None
-
-        def weight(u, v, data):
-            residual = max(network.node(u).residual_fraction, 1e-6)
-            return data["tx_energy_unit"] / residual
-
-        try:
-            return nx.dijkstra_path(graph, src, dst, weight=weight)
-        except nx.NetworkXNoPath:
-            return None
+        adj = _battery_weights(graph, network, symmetric=False)
+        found = _dijkstra(adj, src, dst)
+        return found[1] if found else None
 
 
 class LifetimePredictionRouting(RoutingProtocol):
@@ -138,7 +232,7 @@ class LifetimePredictionRouting(RoutingProtocol):
 
     def find_route(self, network: ManetNetwork, src: int,
                    dst: int) -> list[int] | None:
-        graph = self._graph(network)
+        graph = network.connectivity_graph()
         if src not in graph or dst not in graph:
             return None
 
@@ -154,18 +248,8 @@ class LifetimePredictionRouting(RoutingProtocol):
         # the destination along paths that avoid tired forwarders), so
         # candidates are both energy-competitive and diverse; the
         # lifetime criterion then arbitrates among them.
-        for u, v, data in graph.edges(data=True):
-            residual = max(network.node(u).residual_fraction, 1e-6)
-            data["tx_energy"] = data["tx_energy_unit"] / residual
-        try:
-            candidates = []
-            for path in nx.shortest_simple_paths(
-                    graph, src, dst, weight="tx_energy"):
-                candidates.append(path)
-                if len(candidates) >= self.n_candidates:
-                    break
-        except nx.NetworkXNoPath:
-            return None
+        adj = _battery_weights(graph, network, symmetric=True)
+        candidates = _k_shortest_paths(adj, src, dst, self.n_candidates)
         if not candidates:
             return None
         return max(candidates, key=bottleneck_lifetime)

@@ -165,6 +165,16 @@ def _require_fits(tg: TaskGraph, mesh: Mesh2D) -> list[str]:
     return names
 
 
+def _bit_energy_table(mesh: Mesh2D,
+                      energy: NocEnergyModel) -> list[list[float]]:
+    """``table[i][j]`` = E_bit between row-major tiles i and j, so the
+    searches' inner loops do one lookup instead of ``hops`` plus
+    ``bit_energy`` (same floats)."""
+    tiles = list(mesh.tiles())
+    return [[energy.bit_energy(mesh.hops(a, b)) for b in tiles]
+            for a in tiles]
+
+
 def adhoc_mapping(tg: TaskGraph, mesh: Mesh2D) -> NocMapping:
     """Declaration order onto row-major tiles — the naive baseline."""
     names = _require_fits(tg, mesh)
@@ -229,6 +239,8 @@ def greedy_mapping(tg: TaskGraph, mesh: Mesh2D,
         n: sum(affinity[n].values()) for n in names
     }
     order = sorted(names, key=lambda n: -total_affinity[n])
+    table = _bit_energy_table(mesh, energy)
+    tile_index = {tile: i for i, tile in enumerate(mesh.tiles())}
     free_tiles = set(mesh.tiles())
     placed: dict[str, Tile] = {}
 
@@ -254,8 +266,9 @@ def greedy_mapping(tg: TaskGraph, mesh: Mesh2D,
         remaining.remove(best_task)
 
         def incremental_cost(tile: Tile) -> float:
+            row = table[tile_index[tile]]
             return sum(
-                bits * energy.bit_energy(mesh.hops(tile, placed[other]))
+                bits * row[tile_index[placed[other]]]
                 for other, bits in affinity[best_task].items()
                 if other in placed
             )
@@ -322,31 +335,31 @@ def simulated_annealing_mapping(
             ok &= compatibility.allows(names[slots[j]], tiles[i])
         return ok
 
-    pairs = [
-        (src, dst, bits) for src, dst, bits in tg.communication_pairs()
-    ]
     name_index = {n: i for i, n in enumerate(names)}
     edges = [
         (name_index[src], name_index[dst], bits)
-        for src, dst, bits in pairs
+        for src, dst, bits in tg.communication_pairs()
     ]
+    table = _bit_energy_table(mesh, energy)
+    # position[task] = slot (row-major tile index) hosting the task.
+    position = [0] * len(names)
+    for slot, task in enumerate(slots):
+        if task >= 0:
+            position[task] = slot
 
-    def tile_of_task() -> dict[int, Tile]:
-        return {
-            task: tiles[slot]
-            for slot, task in enumerate(slots) if task >= 0
-        }
+    def cost() -> float:
+        # A list sums faster than a generator; this runs once per move.
+        return sum([
+            bits * table[position[a]][position[b]] for a, b, bits in edges
+        ])
 
-    def cost(positions: dict[int, Tile]) -> float:
-        return sum(
-            bits * energy.bit_energy(
-                mesh.hops(positions[a], positions[b])
-            )
-            for a, b, bits in edges
-        )
+    def swap(i: int, j: int) -> None:
+        slots[i], slots[j] = slots[j], slots[i]
+        for slot in (i, j):
+            if slots[slot] >= 0:
+                position[slots[slot]] = slot
 
-    positions = tile_of_task()
-    current = cost(positions)
+    current = cost()
     best_slots = slots[:]
     best_cost = current
 
@@ -355,14 +368,13 @@ def simulated_annealing_mapping(
     temperature = initial_temperature
 
     for _ in range(n_iterations):
-        i, j = rng.integers(0, len(tiles), size=2)
+        i, j = rng.integers(0, len(tiles), size=2).tolist()
         if i == j or (slots[i] < 0 and slots[j] < 0):
             continue
         if not move_allowed(i, j):
             continue
-        slots[i], slots[j] = slots[j], slots[i]
-        positions = tile_of_task()
-        candidate = cost(positions)
+        swap(i, j)
+        candidate = cost()
         delta = candidate - current
         if delta <= 0 or rng.random() < math.exp(
                 -delta / max(temperature, 1e-30)):
@@ -371,7 +383,7 @@ def simulated_annealing_mapping(
                 best_cost = current
                 best_slots = slots[:]
         else:
-            slots[i], slots[j] = slots[j], slots[i]
+            swap(i, j)
         temperature *= cooling
 
     placement = {
@@ -475,27 +487,32 @@ def branch_and_bound_mapping(
         "placement": None,
     }
 
-    def recurse(depth: int, placed: dict[str, Tile],
-                used: set[Tile], cost_so_far: float) -> None:
+    table = _bit_energy_table(mesh, energy)
+
+    def recurse(depth: int, placed: dict[str, int],
+                used: set[int], cost_so_far: float) -> None:
         if cost_so_far >= best["cost"]:
             return
         if depth == len(order):
             best["cost"] = cost_so_far
-            best["placement"] = dict(placed)
+            best["placement"] = {
+                task: tiles[slot] for task, slot in placed.items()
+            }
             return
         task = order[depth]
-        for tile in tiles:
-            if tile in used or not compatibility.allows(task, tile):
+        for slot, tile in enumerate(tiles):
+            if slot in used or not compatibility.allows(task, tile):
                 continue
+            row = table[slot]
             increment = sum(
-                bits * energy.bit_energy(mesh.hops(tile, placed[other]))
+                bits * row[placed[other]]
                 for other, bits in affinity[task] if other in placed
             )
-            placed[task] = tile
-            used.add(tile)
+            placed[task] = slot
+            used.add(slot)
             recurse(depth + 1, placed, used, cost_so_far + increment)
             del placed[task]
-            used.remove(tile)
+            used.remove(slot)
 
     recurse(0, {}, set(), 0.0)
     if best["placement"] is None:

@@ -17,6 +17,7 @@ from repro.noc import (
     simulated_annealing_mapping,
     video_surveillance_apcg,
 )
+from repro.noc.mapping import _bit_energy_table
 
 
 def two_task_graph(bits=1e6):
@@ -184,3 +185,17 @@ class TestApcgs:
             random_multimedia_apcg(1)
         with pytest.raises(ValueError):
             random_multimedia_apcg(5, fanout=0)
+
+
+class TestBitEnergyTable:
+    def test_equals_bit_energy_of_hops_for_every_tile_pair(self):
+        mesh = Mesh2D(4, 4)
+        energy = NocEnergyModel(switch_energy_per_bit=0.7e-12,
+                                link_energy_per_bit=1.3e-12)
+        table = _bit_energy_table(mesh, energy)
+        tiles = list(mesh.tiles())
+        assert len(table) == len(tiles) == 16
+        for a in tiles:
+            for b in tiles:
+                assert (table[mesh.index(a)][mesh.index(b)]
+                        == energy.bit_energy(mesh.hops(a, b)))

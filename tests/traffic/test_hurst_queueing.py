@@ -9,6 +9,7 @@ from repro.traffic import (
     aggregate_series,
     autocorrelation,
     fgn_trace,
+    mmpp2_trace,
     periodogram_hurst,
     poisson_trace,
     queue_tail,
@@ -17,6 +18,7 @@ from repro.traffic import (
     taqqu_hurst,
     variance_time_hurst,
 )
+from repro.traffic.hurst import _block_sizes
 from repro.utils.rng import spawn_rng
 
 
@@ -51,6 +53,46 @@ class TestAggregateSeries:
             aggregate_series([1.0], 0)
         with pytest.raises(ValueError):
             aggregate_series([1.0], 5)
+
+
+def per_block_rs_hurst(x):
+    """The per-block R/S loop ``rs_hurst`` replaced: the reference its
+    matrix form must reproduce bit for bit."""
+    arr = np.asarray(x, dtype=float)
+    log_sizes, log_rs = [], []
+    for size in _block_sizes(arr.size):
+        ratios = []
+        for b in range(arr.size // size):
+            block = arr[b * size:(b + 1) * size]
+            z = np.cumsum(block - block.mean())
+            r = z.max() - z.min()
+            s = block.std(ddof=0)
+            if s > 0 and r > 0:
+                ratios.append(r / s)
+        if ratios:
+            log_sizes.append(np.log(size))
+            log_rs.append(np.log(np.mean(ratios)))
+    slope, _ = np.polyfit(log_sizes, log_rs, 1)
+    return float(slope)
+
+
+class TestRsHurstExact:
+    """The block-matrix R/S equals the per-block loop exactly (``==``),
+    so E2 payloads keep their bits."""
+
+    @pytest.mark.parametrize("trace", [
+        lambda: fgn_trace(2**15, 0.85, 10.0, peakedness=0.4, seed=1),
+        lambda: fgn_trace(5_000, 0.7, 10.0, seed=2),
+        lambda: aggregate_onoff_trace(10, 2**13, alpha=1.4, seed=3),
+        lambda: poisson_trace(2**13, 10.0, seed=4),
+        # Sparse arrivals: many all-zero blocks, dropped as s == 0.
+        lambda: poisson_trace(3_000, 0.05, seed=5),
+        lambda: mmpp2_trace(2**13, 10.0, burstiness=6.0, seed=6),
+    ], ids=["fgn-0.85", "fgn-odd-length", "onoff", "poisson",
+            "poisson-sparse", "mmpp2"])
+    def test_matches_per_block_loop(self, trace):
+        x = trace()
+        assert rs_hurst(x) == per_block_rs_hurst(x)
 
 
 class TestHurstEstimators:
