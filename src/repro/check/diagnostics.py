@@ -4,20 +4,19 @@ Every check in :mod:`repro.check` — the Layer-1 model verifier, the
 Layer-2 simulation lint, and the Layer-3 flow analyzer
 (:mod:`repro.check.simflow`) — reports through one vocabulary: a
 :class:`Rule` describes *what class of defect* a check detects (stable
-id, default severity, rationale, fix hint), and a :class:`Diagnostic`
-is *one concrete finding* (which rule fired, where, and why).
+id, default severity, fix hint), and a :class:`Diagnostic` is *one
+concrete finding* (which rule fired, where, and why).
 
-The catalog below is the single source of truth: the verifier and the
-linter both look their rules up here, ``docs/static_analysis.md``
-documents exactly these ids, and the test suite asserts the two stay
-in sync.
+The catalog below is the single source of truth for ids, severities
+and fix hints: the verifier and the linter both look their rules up
+here.  Why each defect matters is documented once, in the rule tables
+of ``docs/static_analysis.md``, and the test suite asserts the two
+list the same ids.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import re
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Mapping
@@ -68,20 +67,14 @@ class Rule:
         ``SL2xx`` for simulation-lint rules, ``SF3xx`` for
         flow-analysis rules.  Ids never change meaning; retired rules
         are not reused.
-    title:
-        Short human label ("deadlock cycle", "unseeded RNG").
     severity:
         Default severity of findings (a check may not override upward).
-    rationale:
-        Why the defect matters for a DES-based design flow.
     fix_hint:
         The standard remedy, shown with every finding.
     """
 
     id: str
-    title: str
     severity: Severity
-    rationale: str
     fix_hint: str
 
 
@@ -121,23 +114,6 @@ class Diagnostic:
             return self.subject
         return f"{self.subject}:{self.line}"
 
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity of this finding across line shifts.
-
-        A hash of (rule, subject, message-with-numbers-masked): adding
-        or removing unrelated lines — which renumbers both ``line``
-        and any line references interpolated into the message — does
-        not change the fingerprint, so baseline suppression
-        (:mod:`repro.check.baseline`) survives routine edits.  Moving
-        the finding to another file or changing what it says does.
-        """
-        context = re.sub(r"\d+", "#", self.message)
-        digest = hashlib.sha256(
-            f"{self.rule}|{self.subject}|{context}".encode()
-        ).hexdigest()
-        return digest[:16]
-
     def to_dict(self) -> dict:
         """JSON-ready representation (stable key order via sort_keys)."""
         return {
@@ -147,7 +123,6 @@ class Diagnostic:
             "subject": self.subject,
             "line": self.line,
             "fix_hint": self.fix_hint,
-            "fingerprint": self.fingerprint,
         }
 
     def __str__(self) -> str:
@@ -200,297 +175,108 @@ def _catalog(rules: Iterable[Rule]) -> dict[str, Rule]:
 #: verifier (Layer 1), ``SL2xx`` = simulation lint (Layer 2),
 #: ``SF3xx`` = flow analysis (Layer 3).
 RULES: Mapping[str, Rule] = _catalog([
-    # ---- Layer 1: process/task-graph structure ----------------------
-    Rule(
-        "RC101", "unreachable process", Severity.ERROR,
-        "A process no rated source can reach never activates; the "
-        "simulation silently computes QoS over a smaller graph than "
-        "the designer modeled.",
-        "Connect the process to a rated source or remove it.",
-    ),
-    Rule(
-        "RC102", "disconnected graph", Severity.WARNING,
-        "A weakly-disconnected fragment is almost always a modeling "
-        "mistake: the fragments share no tokens yet get mapped and "
-        "evaluated as one application.",
-        "Split the model into separate graphs or add the missing "
-        "channel/dependency.",
-    ),
-    Rule(
-        "RC103", "deadlock cycle", Severity.ERROR,
-        "Process-network channels carry no initial tokens, so every "
-        "directed cycle is a guaranteed deadlock: each process in the "
-        "cycle waits forever on its predecessor.",
-        "Break the cycle or model the feedback path outside the token "
-        "flow.",
-    ),
-    Rule(
-        "RC104", "source without rate", Severity.ERROR,
-        "A source process with no activation rate never emits tokens; "
-        "everything downstream starves.",
-        "Set ProcessNode.rate_hz on every source process.",
-    ),
-    Rule(
-        "RC105", "rate on non-source", Severity.WARNING,
-        "A rate on a process with input channels is ignored by the "
-        "evaluator (non-sources activate on input tokens); the model "
-        "claims a behaviour the simulation does not implement.",
-        "Drop rate_hz from internal processes, or remove their input "
-        "channels to make them sources.",
-    ),
-    Rule(
-        "RC106", "join rate mismatch", Severity.WARNING,
-        "A join consumes one token per input per activation; inputs "
-        "fed at different rates make the slower input the bottleneck "
-        "and the faster input's buffer overflow.",
-        "Equalize the upstream source rates or add an explicit "
-        "down-sampling process before the join.",
-    ),
-    Rule(
-        "RC107", "zero-volume dependency", Severity.WARNING,
-        "A dependency carrying zero bits creates scheduling precedence "
-        "without communication, silently serializing otherwise "
-        "independent subgraphs.",
-        "Give the edge its real control-message volume, or delete it "
-        "if no ordering is intended.",
-    ),
-    # ---- Layer 1: mapping ------------------------------------------
-    Rule(
-        "RC110", "unmapped process", Severity.ERROR,
-        "A process without a PE binding cannot execute; evaluation "
-        "either crashes or silently drops its work.",
-        "Map every process/task of the graph to a platform PE.",
-    ),
-    Rule(
-        "RC111", "unknown process in mapping", Severity.WARNING,
-        "The mapping binds a name the application does not define — "
-        "usually a typo that leaves the intended process unmapped.",
-        "Remove the stale entry or fix the process name.",
-    ),
-    Rule(
-        "RC112", "unknown PE", Severity.ERROR,
-        "The mapping targets a processing element the platform does "
-        "not contain.",
-        "Add the PE to the platform or retarget the mapping.",
-    ),
-    Rule(
-        "RC113", "PE out of service", Severity.ERROR,
-        "The mapping targets a PE currently marked unavailable "
-        "(failed or powered off); work bound to it never runs.",
-        "Repair the PE before simulating, or remap its processes.",
-    ),
-    Rule(
-        "RC114", "ASIC capability mismatch", Severity.WARNING,
-        "An ASIC is fixed-function hardware; hosting several distinct "
-        "processes on one ASIC assumes a flexibility the component "
-        "class does not have.",
-        "Map one kernel per ASIC, or model the PE as an ASIP/DSP/GPP.",
-    ),
-    Rule(
-        "RC115", "missing link", Severity.ERROR,
-        "The mapping routes traffic over a src->dst link that is out "
-        "of service (or absent) in the platform interconnect.",
-        "Repair the link, or co-locate the communicating processes.",
-    ),
-    # ---- Layer 1: constraint feasibility ---------------------------
-    Rule(
-        "RC120", "PE over-utilized", Severity.ERROR,
-        "Aggregate offered load above 1 on a PE means unbounded queue "
-        "growth: the design cannot be feasible at any buffer size.",
-        "Rebalance the mapping, raise the PE frequency, or lower the "
-        "source rates.",
-    ),
-    Rule(
-        "RC121", "deadline infeasible", Severity.ERROR,
-        "The deadline is shorter than the best-case path latency "
-        "(critical-path cycles on the fastest PE with free "
-        "communication) — no mapping or scheduler can meet it.",
-        "Relax the deadline, shorten the critical path, or add a "
-        "faster PE.",
-    ),
-    Rule(
-        "RC122", "bandwidth exceeded", Severity.ERROR,
-        "Sustained communication demand above the interconnect "
-        "bandwidth saturates the medium; latency grows without bound.",
-        "Co-locate heavy communicators, widen the interconnect, or "
-        "reduce token sizes.",
-    ),
-    # ---- Layer 1: unit & dimension sanity --------------------------
-    Rule(
-        "RC130", "idle power above active", Severity.WARNING,
-        "Idle power above active power is almost always a unit slip "
-        "(mW vs W); every DPM and DVFS conclusion drawn from such a "
-        "model inverts.",
-        "Check the datasheet units; active power must exceed idle.",
-    ),
-    Rule(
-        "RC131", "implausible magnitude", Severity.WARNING,
-        "A parameter orders of magnitude outside the physical range "
-        "for embedded multimedia silicon (Hz, W, J/bit) indicates a "
-        "unit-conversion error.",
-        "Re-derive the value in SI base units (Hz, W, J).",
-    ),
-    Rule(
-        "RC132", "DVFS model inconsistent", Severity.WARNING,
-        "A PE whose nominal frequency lies outside its DVFS model's "
-        "operating-point range cannot be scheduled consistently: "
-        "scaling decisions refer to points the PE does not have.",
-        "Make ProcessingElement.frequency one of the DVFS operating "
-        "points.",
-    ),
-    # ---- Layer 1: scenario documents -------------------------------
-    Rule(
-        "RC140", "scenario schema violation", Severity.ERROR,
-        "A file that does not conform to the repro.scenario/v1 schema "
-        "cannot be loaded into model objects at all; every downstream "
-        "check and simulation is moot until the document parses.",
-        "Fix the value at the reported JSON path (repro scenario "
-        "import FILE re-validates), or re-export the scenario with "
-        "repro scenario export.",
-    ),
-    # ---- Layer 2: simulation lint ----------------------------------
-    Rule(
-        "SL200", "file does not parse", Severity.ERROR,
-        "A syntax error makes every other guarantee void; the file "
-        "cannot even be imported.",
-        "Fix the syntax error.",
-    ),
-    Rule(
-        "SL201", "unseeded or global RNG", Severity.ERROR,
-        "Module-level RNG (random.*, numpy.random legacy calls, or "
-        "default_rng() without a seed) draws from hidden global state: "
-        "runs become irreproducible and experiments stop being "
-        "bit-exact.",
-        "Draw from a seeded stream: repro.utils.RandomStreams, "
-        "spawn_rng(seed, name), or np.random.default_rng(seed).",
-    ),
-    Rule(
-        "SL202", "wall-clock call in simulation code", Severity.ERROR,
-        "time.time()/datetime.now()/time.sleep() read or block on the "
-        "host clock; simulated time must come only from the DES "
-        "environment (time.perf_counter is allowed for measuring "
-        "wall-clock cost of the run itself).",
-        "Use env.now for simulated time and env.timeout for delays; "
-        "use time.perf_counter for wall-time measurement.",
-    ),
-    Rule(
-        "SL203", "kernel event not yielded", Severity.ERROR,
-        "Inside a generator process, a bare env.timeout(...)/.get()/"
-        ".put()/.request() creates an event that is never waited on: "
-        "the process races ahead and the event leaks.",
-        "Yield every kernel event: `yield env.timeout(d)`, "
-        "`tok = yield queue.get()`.",
-    ),
-    Rule(
-        "SL204", "mutable default argument", Severity.WARNING,
-        "A list/dict/set default is shared across calls; in model "
-        "constructors it silently couples every instance built with "
-        "the default.",
-        "Default to None and create the container in the body, or use "
-        "dataclasses.field(default_factory=...).",
-    ),
-    Rule(
-        "SL205", "float equality against simulated time",
-        Severity.WARNING,
-        "Simulated clocks accumulate floating-point error; `t == "
-        "env.now` comparisons silently never (or spuriously) fire.",
-        "Compare with a tolerance (math.isclose) or use ordered "
-        "comparisons (<=, >=).",
-    ),
-    Rule(
-        "SL206", "bare multiprocessing outside repro.parallel",
-        Severity.WARNING,
-        "Ad-hoc process pools bypass the replication engine's "
-        "contracts: per-replica seed derivation, kernel-counter "
-        "snapshot merging, and the deterministic completion-order-"
-        "independent merge all live in repro.parallel; a bare pool "
-        "silently loses cross-process counters and reproducibility.",
-        "Fan work out with repro.parallel.parallel_map or "
-        "run_replicated instead of importing multiprocessing / "
-        "concurrent.futures directly.",
-    ),
-    Rule(
-        "SL207", "silently swallowed exception",
-        Severity.WARNING,
-        "An `except Exception: pass` (or a bare `except`) masks the "
-        "very faults the resilience and supervision layers exist to "
-        "surface: a fault injected by the chaos harness vanishes "
-        "without a trace and the sweep reports healthy results it "
-        "never computed.",
-        "Catch the narrowest exception you can actually recover "
-        "from, and handle it visibly: record a metric, return a "
-        "degraded result, or re-raise.",
-    ),
-    # ---- Layer 3: flow analysis (simflow) ---------------------------
-    Rule(
-        "SF301", "event overwritten before yield", Severity.ERROR,
-        "Rebinding a variable holding an un-yielded kernel event "
-        "drops the first event on the floor: whatever it modeled "
-        "(a delay, a pending request) silently never happens, and "
-        "on some control paths the process skips simulated work.",
-        "Yield each event before creating the next, or collect "
-        "events and wait with env.any_of/env.all_of.",
-    ),
-    Rule(
-        "SF302", "yield of non-event", Severity.ERROR,
-        "The kernel only accepts Event objects from process "
-        "generators; yielding a constant raises TypeError the first "
-        "time the process runs — but only on the path that reaches "
-        "the yield, so it can hide until a rare branch fires.",
-        "Yield kernel events only: `yield env.timeout(delay)`.",
-    ),
-    Rule(
-        "SF303", "resource leak on exception or early return",
-        Severity.ERROR,
-        "A Resource.request() grant that is not released on every "
-        "path — including interrupts raised at a yield and early "
-        "returns — shrinks the resource's capacity for the rest of "
-        "the run; under load the model deadlocks or serializes for a "
-        "reason that does not exist in the system being studied.",
-        "Acquire with `with res.request() as req:` or release in a "
-        "try/finally.",
-    ),
-    Rule(
-        "SF304", "conflicting resource acquisition order",
-        Severity.WARNING,
-        "Process functions that acquire the same resources in "
-        "different orders can deadlock when their requests "
-        "interleave: each holds what the other needs.  The cycle is "
-        "over the project-wide acquisition graph, so no single "
-        "function shows the defect.",
-        "Pick one global acquisition order for the cycle's "
-        "resources, or merge the acquisitions into one request.",
-    ),
-    Rule(
-        "SF305", "event scheduled in the past", Severity.ERROR,
-        "A negative delay asks the kernel to schedule before `now`; "
-        "the kernel raises ValueError at run time — but only when "
-        "the path executes, which for guard/fallback branches may be "
-        "deep into a long sweep.",
-        "Clamp delays to max(0.0, delay) or fix the sign of the "
-        "computed interval.",
-    ),
-    Rule(
-        "SF306", "infinite loop without yield", Severity.ERROR,
-        "A `while True` (or time-conditioned) loop with no yield "
-        "never returns control to the scheduler: simulated time "
-        "freezes and the run spins forever at 100% CPU, "
-        "indistinguishable from a hang.",
-        "Yield a kernel event inside the loop (`yield "
-        "env.timeout(...)`) so time can advance.",
-    ),
-    Rule(
-        "SF307", "nondeterminism reaches the schedule",
-        Severity.ERROR,
-        "A value derived from the wall clock, an unseeded RNG, "
-        "id()/hash() addresses, OS entropy, or set iteration order "
-        "flowing into a timeout, schedule, or seed argument makes "
-        "event ordering depend on the host: the run stops being a "
-        "pure function of the experiment seed, and replications "
-        "silently diverge.",
-        "Derive delays and seeds only from seeded streams "
-        "(spawn_rng, RandomStreams) and simulated time (env.now).",
-    ),
+    # ---- Layer 1: process/task-graph structure -----------------------
+    Rule("RC101", Severity.ERROR,
+         "Connect the process to a rated source or remove it."),
+    Rule("RC102", Severity.WARNING,
+         "Split the model into separate graphs or add the missing "
+         "channel/dependency."),
+    Rule("RC103", Severity.ERROR,
+         "Break the cycle or model the feedback path outside the token "
+         "flow."),
+    Rule("RC104", Severity.ERROR,
+         "Set ProcessNode.rate_hz on every source process."),
+    Rule("RC105", Severity.WARNING,
+         "Drop rate_hz from internal processes, or remove their input "
+         "channels to make them sources."),
+    Rule("RC106", Severity.WARNING,
+         "Equalize the upstream source rates or add an explicit "
+         "down-sampling process before the join."),
+    Rule("RC107", Severity.WARNING,
+         "Give the edge its real control-message volume, or delete it "
+         "if no ordering is intended."),
+    # ---- Layer 1: mapping --------------------------------------------
+    Rule("RC110", Severity.ERROR,
+         "Map every process/task of the graph to a platform PE."),
+    Rule("RC111", Severity.WARNING,
+         "Remove the stale entry or fix the process name."),
+    Rule("RC112", Severity.ERROR,
+         "Add the PE to the platform or retarget the mapping."),
+    Rule("RC113", Severity.ERROR,
+         "Repair the PE before simulating, or remap its processes."),
+    Rule("RC114", Severity.WARNING,
+         "Map one kernel per ASIC, or model the PE as an ASIP/DSP/GPP."),
+    Rule("RC115", Severity.ERROR,
+         "Repair the link, or co-locate the communicating processes."),
+    # ---- Layer 1: constraint feasibility -----------------------------
+    Rule("RC120", Severity.ERROR,
+         "Rebalance the mapping, raise the PE frequency, or lower the "
+         "source rates."),
+    Rule("RC121", Severity.ERROR,
+         "Relax the deadline, shorten the critical path, or add a "
+         "faster PE."),
+    Rule("RC122", Severity.ERROR,
+         "Co-locate heavy communicators, widen the interconnect, or "
+         "reduce token sizes."),
+    # ---- Layer 1: unit & dimension sanity ----------------------------
+    Rule("RC130", Severity.WARNING,
+         "Check the datasheet units; active power must exceed idle."),
+    Rule("RC131", Severity.WARNING,
+         "Re-derive the value in SI base units (Hz, W, J)."),
+    Rule("RC132", Severity.WARNING,
+         "Make ProcessingElement.frequency one of the DVFS operating "
+         "points."),
+    # ---- Layer 1: scenario documents ---------------------------------
+    Rule("RC140", Severity.ERROR,
+         "Fix the value at the reported JSON path (repro scenario "
+         "import FILE re-validates), or re-export the scenario with "
+         "repro scenario export."),
+    # ---- Layer 2: simulation lint ------------------------------------
+    Rule("SL200", Severity.ERROR, "Fix the syntax error."),
+    Rule("SL201", Severity.ERROR,
+         "Draw from a seeded stream: repro.utils.RandomStreams, "
+         "spawn_rng(seed, name), or np.random.default_rng(seed)."),
+    Rule("SL202", Severity.ERROR,
+         "Use env.now for simulated time and env.timeout for delays; "
+         "use time.perf_counter for wall-time measurement."),
+    Rule("SL203", Severity.ERROR,
+         "Yield every kernel event: `yield env.timeout(d)`, `tok = "
+         "yield queue.get()`."),
+    Rule("SL204", Severity.WARNING,
+         "Default to None and create the container in the body, or use "
+         "dataclasses.field(default_factory=...)."),
+    Rule("SL205", Severity.WARNING,
+         "Compare with a tolerance (math.isclose) or use ordered "
+         "comparisons (<=, >=)."),
+    Rule("SL206", Severity.WARNING,
+         "Fan work out with repro.parallel.parallel_map or "
+         "run_replicated instead of importing multiprocessing / "
+         "concurrent.futures directly."),
+    Rule("SL207", Severity.WARNING,
+         "Catch the narrowest exception you can actually recover from, "
+         "and handle it visibly: record a metric, return a degraded "
+         "result, or re-raise."),
+    # ---- Layer 3: flow analysis (simflow) ----------------------------
+    Rule("SF301", Severity.ERROR,
+         "Yield each event before creating the next, or collect events "
+         "and wait with env.any_of/env.all_of."),
+    Rule("SF302", Severity.ERROR,
+         "Yield kernel events only: `yield env.timeout(delay)`."),
+    Rule("SF303", Severity.ERROR,
+         "Acquire with `with res.request() as req:` or release in a "
+         "try/finally."),
+    Rule("SF304", Severity.WARNING,
+         "Pick one global acquisition order for the cycle's resources, "
+         "or merge the acquisitions into one request."),
+    Rule("SF305", Severity.ERROR,
+         "Clamp delays to max(0.0, delay) or fix the sign of the "
+         "computed interval."),
+    Rule("SF306", Severity.ERROR,
+         "Yield a kernel event inside the loop (`yield "
+         "env.timeout(...)`) so time can advance."),
+    Rule("SF307", Severity.ERROR,
+         "Derive delays and seeds only from seeded streams (spawn_rng, "
+         "RandomStreams) and simulated time (env.now)."),
 ])
 
 
@@ -549,7 +335,7 @@ def diagnostics_to_dict(diagnostics: Iterable[Diagnostic]) -> dict:
     for diag in ordered:
         counts[str(diag.severity)] += 1
     return {
-        "version": 1,
+        "version": 2,
         "counts": counts,
         "diagnostics": [d.to_dict() for d in ordered],
     }

@@ -4,8 +4,8 @@
 Layer-1 model verifier over every model the repository ships (the
 experiment registry's ``scenario=`` providers plus the built-in catalog
 below), the Layer-2 simulation lint, and the Layer-3 flow analyzer
-(:mod:`repro.check.simflow`), both over ``src/``, ``benchmarks/``,
-and ``examples/``.
+(:mod:`repro.check.simflow`), both over :data:`LINT_DIRS`.  The two
+source passes share one parse of each file and one CFG per function.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from typing import Iterable
 
 from repro.check.diagnostics import Diagnostic
 from repro.check.model import verify_model
-from repro.check.simflow import analyze_paths
-from repro.check.simlint import lint_paths
+from repro.check.simflow import analyze_sources
+from repro.check.simlint import lint_sources, load_sources
 
 __all__ = [
     "repository_root",
@@ -137,10 +137,13 @@ def check_repository(
     diagnostics: list[Diagnostic] = []
     if models:
         diagnostics.extend(check_models())
+    if not (lint or flow):
+        return diagnostics
     targets = (list(lint_targets) if lint_targets is not None
                else default_lint_paths(root))
+    sources = load_sources(targets, root=root)
     if lint:
-        diagnostics.extend(lint_paths(targets, root=root))
+        diagnostics.extend(lint_sources(sources))
     if flow:
-        diagnostics.extend(analyze_paths(targets, root=root))
+        diagnostics.extend(analyze_sources(sources))
     return diagnostics

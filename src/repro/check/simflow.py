@@ -27,8 +27,10 @@ Rules (catalog in :mod:`repro.check.diagnostics`):
   in its body: the process spins without ever returning control to
   the scheduler, starving the simulation.
 * ``SF307`` — determinism taint (:mod:`repro.check.taint`): a value
-  derived from wall clock / unseeded RNG / ``id()`` / ``hash()`` /
-  set iteration order reaches a timeout, schedule, or seed argument.
+  derived from a perf counter / ``id()`` / ``hash()`` / OS entropy /
+  set iteration order reaches a timeout, schedule, or seed argument
+  (unseeded RNG and other wall-clock reads are SL201/SL202's, flagged
+  at the call).
 
 Findings are suppressed with the shared pragma grammar
 (:mod:`repro.check.pragmas`): ``# simlint: ignore[SF303]`` (the
@@ -39,11 +41,10 @@ convention of a justification after the pragma.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from repro.check.astcache import ParsedFile, parse_file, parse_source
 from repro.check.cfg import (
     CFG,
     ForIter,
@@ -56,9 +57,10 @@ from repro.check.cfg import (
 )
 from repro.check.diagnostics import Diagnostic, make_diagnostic
 from repro.check.pragmas import collect_pragmas, filter_suppressed
+from repro.check.simlint import Source, load_sources, parse_source
 from repro.check.taint import TaintAnalysis
 
-__all__ = ["analyze_source", "analyze_file", "analyze_paths"]
+__all__ = ["analyze_source", "analyze_paths", "analyze_sources"]
 
 #: Methods that create kernel events (the SL203 family), with the
 #: argument-count gates that keep dict.get()/list-like APIs out.
@@ -644,37 +646,35 @@ def _check_starvation(path: str, func, emit) -> None:
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
-def _analyze_parsed(
-    files: list[tuple[str, ParsedFile]],
-) -> list[Diagnostic]:
+def analyze_sources(sources: Iterable[Source]) -> list[Diagnostic]:
+    """Run the flow analyzer over already-parsed sources as one
+    project (see :func:`repro.check.simlint.load_sources`)."""
     diagnostics: list[Diagnostic] = []
     pragma_by_path: dict[str, object] = {}
     lock_edges: list[_LockEdge] = []
     taint_files: list[tuple[str, ast.Module]] = []
+    # One CFG per function per run, shared with the taint pass.
+    cfgs: dict[ast.AST, CFG] = {}
 
-    for label, parsed in files:
-        pragmas = collect_pragmas(parsed.source)
+    for label, text, tree in sources:
+        pragmas = collect_pragmas(text)
         pragma_by_path[label] = pragmas
-        if pragmas.skip_file or parsed.tree is None:
+        if pragmas.skip_file or isinstance(tree, SyntaxError):
             continue  # SL200 (simlint) owns the syntax-error report
-        taint_files.append((label, parsed.tree))
+        taint_files.append((label, tree))
 
         def emit(rule: str, message: str, line: int,
                  label: str = label) -> None:
             diagnostics.append(
                 make_diagnostic(rule, message, label, line=line))
 
-        _check_negative_delays(parsed.tree, emit)
-        cfg_cache = parsed.derived.setdefault("cfg", {})
-        for qualname, func in function_defs(parsed.tree):
+        _check_negative_delays(tree, emit)
+        for qualname, func in function_defs(tree):
             if not _is_process_function(func):
                 continue
             _check_yields(label, func, emit)
             _check_starvation(label, func, emit)
-            cfg = cfg_cache.get(qualname)
-            if cfg is None or cfg.func is not func:
-                cfg = build_cfg(func)
-                cfg_cache[qualname] = cfg
+            cfg = cfgs[func] = build_cfg(func)
             _FunctionFlow(label, qualname, func, cfg, emit).run()
             lock_edges.extend(_collect_lock_edges(label, qualname,
                                                   func))
@@ -694,7 +694,7 @@ def _analyze_parsed(
                 edge.path, line=edge.line))
 
     # SF307: project-wide determinism taint.
-    for finding in TaintAnalysis(taint_files).findings():
+    for finding in TaintAnalysis(taint_files, cfgs).findings():
         diagnostics.append(make_diagnostic(
             "SF307", finding.message, finding.path,
             line=finding.line))
@@ -715,13 +715,7 @@ def analyze_source(
     source: str, path: str = "<string>"
 ) -> list[Diagnostic]:
     """Run the flow analyzer over in-memory ``source``."""
-    return _analyze_parsed([(path, parse_source(source, path))])
-
-
-def analyze_file(path: str | Path) -> list[Diagnostic]:
-    """Analyze one file (through the shared AST cache)."""
-    path = Path(path)
-    return _analyze_parsed([(str(path), parse_file(path))])
+    return analyze_sources([parse_source(source, path)])
 
 
 def analyze_paths(
@@ -734,20 +728,4 @@ def analyze_paths(
     SF307 interprocedural.  ``root`` relativizes subjects, matching
     :func:`repro.check.simlint.lint_paths`.
     """
-    files: list[Path] = []
-    for entry in paths:
-        entry = Path(entry)
-        if entry.is_dir():
-            files.extend(sorted(entry.rglob("*.py")))
-        else:
-            files.append(entry)
-    labelled: list[tuple[str, ParsedFile]] = []
-    for file in files:
-        label = file
-        if root is not None:
-            try:
-                label = file.relative_to(root)
-            except ValueError:
-                label = file
-        labelled.append((str(label), parse_file(file)))
-    return _analyze_parsed(labelled)
+    return analyze_sources(load_sources(paths, root))

@@ -45,12 +45,17 @@ import ast
 from pathlib import Path
 from typing import Iterable
 
-from repro.check.astcache import parse_file, parse_source
 from repro.check.cfg import is_generator as _cfg_is_generator
 from repro.check.diagnostics import Diagnostic, make_diagnostic
 from repro.check.pragmas import collect_pragmas, filter_suppressed
 
-__all__ = ["lint_source", "lint_file", "lint_paths", "ImportTable"]
+__all__ = ["lint_source", "lint_paths", "lint_sources", "Source",
+           "parse_source", "load_sources", "ImportTable"]
+
+#: One parsed file as both AST layers consume it: ``(label, text,
+#: tree)``, where ``tree`` is the :class:`SyntaxError` when the text
+#: does not parse.
+Source = tuple[str, str, "ast.Module | SyntaxError"]
 
 #: random.* members that are constructors/introspection, not draws
 #: from the hidden global generator.
@@ -359,42 +364,21 @@ class _Linter(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _lint_parsed(parsed, path: str) -> list[Diagnostic]:
-    pragmas = collect_pragmas(parsed.source)
-    if pragmas.skip_file:
-        return []
-    if parsed.tree is None:
-        return [make_diagnostic(
-            "SL200", f"file does not parse: {parsed.error.msg}", path,
-            line=parsed.error.lineno,
-        )]
-    linter = _Linter(path)
-    linter.visit(parsed.tree)
-    return filter_suppressed(linter.diagnostics, pragmas)
+def parse_source(text: str, label: str) -> Source:
+    """Parse ``text`` once; a syntax error is kept, not raised."""
+    try:
+        return label, text, ast.parse(text, filename=label)
+    except SyntaxError as error:
+        return label, text, error
 
 
-def lint_source(
-    source: str, path: str = "<string>"
-) -> list[Diagnostic]:
-    """Lint Python ``source``; ``path`` labels the diagnostics."""
-    return _lint_parsed(parse_source(source, path), path)
-
-
-def lint_file(path: str | Path) -> list[Diagnostic]:
-    """Lint one file (through the shared AST cache)."""
-    path = Path(path)
-    return _lint_parsed(parse_file(path), str(path))
-
-
-def lint_paths(
+def load_sources(
     paths: Iterable[str | Path], root: str | Path | None = None
-) -> list[Diagnostic]:
-    """Lint files and directories (recursing into ``*.py``).
+) -> list[Source]:
+    """Find the ``*.py`` files under ``paths`` and parse each once.
 
-    ``root``, when given, relativizes diagnostic subjects so output is
-    stable across machines.  Parsing goes through the shared
-    mtime-keyed AST cache, so a subsequent simflow pass (or a repeat
-    lint of an unchanged tree) does not re-parse.
+    ``root``, when given, relativizes the labels (and so every
+    diagnostic subject) so output is stable across machines.
     """
     files: list[Path] = []
     for entry in paths:
@@ -403,7 +387,7 @@ def lint_paths(
             files.extend(sorted(entry.rglob("*.py")))
         else:
             files.append(entry)
-    diagnostics: list[Diagnostic] = []
+    sources: list[Source] = []
     for file in files:
         label = file
         if root is not None:
@@ -411,7 +395,44 @@ def lint_paths(
                 label = file.relative_to(root)
             except ValueError:
                 label = file
-        diagnostics.extend(
-            _lint_parsed(parse_file(file), str(label))
-        )
+        sources.append(parse_source(file.read_text(encoding="utf-8"),
+                                    str(label)))
+    return sources
+
+
+def lint_sources(sources: Iterable[Source]) -> list[Diagnostic]:
+    """Lint already-parsed sources (see :func:`load_sources`)."""
+    diagnostics: list[Diagnostic] = []
+    for label, text, tree in sources:
+        pragmas = collect_pragmas(text)
+        if pragmas.skip_file:
+            continue
+        if isinstance(tree, SyntaxError):
+            diagnostics.append(make_diagnostic(
+                "SL200", f"file does not parse: {tree.msg}", label,
+                line=tree.lineno,
+            ))
+            continue
+        linter = _Linter(label)
+        linter.visit(tree)
+        diagnostics.extend(filter_suppressed(linter.diagnostics,
+                                             pragmas))
     return diagnostics
+
+
+def lint_source(
+    source: str, path: str = "<string>"
+) -> list[Diagnostic]:
+    """Lint Python ``source``; ``path`` labels the diagnostics."""
+    return lint_sources([parse_source(source, path)])
+
+
+def lint_paths(
+    paths: Iterable[str | Path], root: str | Path | None = None
+) -> list[Diagnostic]:
+    """Lint files and directories (recursing into ``*.py``).
+
+    ``root``, when given, relativizes diagnostic subjects so output is
+    stable across machines.
+    """
+    return lint_sources(load_sources(paths, root))

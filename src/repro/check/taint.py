@@ -3,28 +3,32 @@
 The deterministic-merge contracts of :mod:`repro.parallel` and
 :mod:`repro.scenario` hold only if no scheduling decision depends on
 anything but the seed.  This module tracks values *derived from*
-nondeterministic sources — wall-clock reads, unseeded RNG draws,
-``id()``, ``hash()`` (salted per process), OS entropy, and iteration
-order over ``set``\\ s — through assignments, arithmetic, and function
-calls, and reports when such a value reaches a **scheduling sink**: an
-``env.timeout``/``env.schedule`` delay, a ``seed=`` argument, or the
-seed-derivation helpers.
+nondeterministic sources that no Layer-2 rule flags at the call —
+the perf counters ``SL202`` allows, ``id()``, ``hash()`` (salted per
+process), OS entropy, and iteration order over ``set``\\ s — through
+assignments, arithmetic, and function calls, and reports when such a
+value reaches a **scheduling sink**: an ``env.timeout``/
+``env.schedule`` delay, a ``seed=`` argument, or the seed-derivation
+helpers.
 
-This is the interprocedural upgrade of the Layer-2 point rules
-(``SL201``/``SL202`` flag the *call sites*; ``SF307`` flags the *flow*
-— ``t0 = time.perf_counter()`` is fine for wall-time measurement and
-stays silent until ``t0`` leaks into a timeout).  Function summaries
-are computed over the project call graph to a fixpoint: a function
-returning tainted data taints its callers, and a function whose
-parameter reaches a sink turns every call site passing tainted data
-into a finding.
+Unseeded RNG draws and the other wall-clock reads are not sources
+here: ``SL201``/``SL202`` already flag every such call, so a second
+report on where the value flows would catch nothing new.  The perf
+counters are different — ``t0 = time.perf_counter()`` is fine for
+wall-time measurement and stays silent until ``t0`` leaks into a
+timeout.
+
+Function summaries are computed over the project call graph to a
+fixpoint: a function returning tainted data taints its callers, and a
+function whose parameter reaches a sink turns every call site passing
+tainted data into a finding.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from repro.check.cfg import CFG, ForIter, WithEnter, WithExit, \
     build_cfg, dataflow, function_defs
@@ -32,16 +36,11 @@ from repro.check.simlint import ImportTable
 
 __all__ = ["TaintAnalysis", "TaintFinding", "SOURCE_KINDS"]
 
-#: Dotted call targets that read the host wall clock.  Unlike SL202,
-#: the *allowed* perf counters are included: calling them is fine,
+#: The wall-clock counters SL202 allows: calling them is fine,
 #: letting the value steer the simulation is not.
-_WALL_CLOCK = {
-    "time.time", "time.time_ns", "time.monotonic",
-    "time.monotonic_ns", "time.perf_counter",
-    "time.perf_counter_ns", "time.process_time",
-    "time.process_time_ns",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today",
+_PERF_COUNTERS = {
+    "time.perf_counter", "time.perf_counter_ns",
+    "time.process_time", "time.process_time_ns",
 }
 
 #: Dotted call targets drawing OS entropy.
@@ -51,20 +50,9 @@ _ENTROPY = {
     "secrets.choice",
 }
 
-#: numpy.random members of the modern, explicitly-seeded API (same
-#: whitelist as SL201).
-_NUMPY_RANDOM_ALLOWED = {
-    "default_rng", "Generator", "SeedSequence", "BitGenerator",
-    "PCG64", "PCG64DXSM", "Philox", "MT19937", "SFC64",
-}
-
-#: random.* members that are constructors, not global-state draws.
-_RANDOM_ALLOWED = {"Random", "SystemRandom"}
-
 #: Human labels of the taint kinds SF307 reports.
 SOURCE_KINDS = {
     "wall-clock": "a wall-clock read",
-    "global-rng": "an unseeded RNG draw",
     "id": "an id() address",
     "hash": "a salted hash() value",
     "entropy": "OS entropy",
@@ -136,9 +124,13 @@ class TaintAnalysis:
     files:
         ``(path, tree)`` pairs of every module in the analysis scope;
         the call graph resolves across all of them.
+    cfgs:
+        CFGs already built for some of the functions (keyed by the
+        ``def`` node), reused instead of rebuilt.
     """
 
-    def __init__(self, files: Iterable[tuple[str, ast.Module]]):
+    def __init__(self, files: Iterable[tuple[str, ast.Module]],
+                 cfgs: Mapping[ast.AST, CFG]):
         self.functions: dict[tuple[str, str], _Function] = {}
         self._by_tail: dict[str, list[_Function]] = {}
         for path, tree in files:
@@ -149,8 +141,8 @@ class TaintAnalysis:
                 elif isinstance(node, ast.ImportFrom):
                     imports.add_import_from(node)
             for qualname, func in function_defs(tree):
-                entry = _Function(path, qualname, func,
-                                  build_cfg(func), imports)
+                cfg = cfgs.get(func) or build_cfg(func)
+                entry = _Function(path, qualname, func, cfg, imports)
                 self.functions[(path, qualname)] = entry
                 tail = qualname.rsplit(".", 1)[-1]
                 self._by_tail.setdefault(tail, []).append(entry)
@@ -181,19 +173,10 @@ class TaintAnalysis:
                     state: dict) -> frozenset:
         dotted = caller.imports.resolve(node.func)
         kinds: set = set()
-        if dotted is not None:
-            if dotted in _WALL_CLOCK:
-                kinds.add(("wall-clock", node.lineno))
-            elif dotted in _ENTROPY:
-                kinds.add(("entropy", node.lineno))
-            elif dotted.startswith("random."):
-                member = dotted.split(".", 1)[1]
-                if member not in _RANDOM_ALLOWED:
-                    kinds.add(("global-rng", node.lineno))
-            elif dotted.startswith("numpy.random."):
-                member = dotted.split(".", 2)[2].split(".")[0]
-                if member not in _NUMPY_RANDOM_ALLOWED:
-                    kinds.add(("global-rng", node.lineno))
+        if dotted in _PERF_COUNTERS:
+            kinds.add(("wall-clock", node.lineno))
+        elif dotted in _ENTROPY:
+            kinds.add(("entropy", node.lineno))
         if isinstance(node.func, ast.Name):
             if node.func.id == "id":
                 kinds.add(("id", node.lineno))

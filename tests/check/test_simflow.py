@@ -7,8 +7,136 @@ import textwrap
 
 import pytest
 
-from repro.check import Severity, check_repository
+from repro.check import Severity, check_repository, lint_source
 from repro.check.simflow import analyze_paths, analyze_source
+
+
+#: Every positive fixture of a Layer-3 rule, keyed by an id that
+#: starts with the rule it must trigger (tests/check/test_layers.py
+#: also runs each one through both layers).  Two SF307-shaped
+#: flows start at a read SL201/SL202 already flag, so they are
+#: keyed by that rule.
+POSITIVE = {
+    "SF301 event overwritten before yield": """
+        def proc(env):
+            ev = env.timeout(1)
+            ev = env.timeout(2)
+            yield ev
+    """,
+    "SF301 overwrite on one branch": """
+        def proc(env, flag):
+            ev = env.timeout(1)
+            if flag:
+                ev = env.timeout(2)
+            yield ev
+    """,
+    "SF302 yield of a constant": """
+        def proc(env):
+            yield env.timeout(1)
+            yield 5
+    """,
+    "SF302 bare yield": """
+        def proc(env):
+            yield env.timeout(1)
+            yield
+    """,
+    "SF303 held across unprotected yield": """
+        def proc(env, cpu):
+            req = cpu.request()
+            yield req
+            yield env.timeout(1)
+            cpu.release(req)
+    """,
+    "SF303 early return leaks": """
+        def proc(env, cpu):
+            req = cpu.request()
+            yield req
+            if env.now > 5:
+                return
+            cpu.release(req)
+    """,
+    "SF303 rebind while acquired": """
+        def proc(env, cpu):
+            req = cpu.request()
+            yield req
+            req = cpu.request()
+            yield req
+            cpu.release(req)
+    """,
+    "SF304 conflicting acquisition order": """
+        def a(env, bus, mem):
+            with bus.request() as r1:
+                yield r1
+                with mem.request() as r2:
+                    yield r2
+                    yield env.timeout(1)
+
+        def b(env, bus, mem):
+            with mem.request() as r1:
+                yield r1
+                with bus.request() as r2:
+                    yield r2
+                    yield env.timeout(1)
+    """,
+    "SF305 negative timeout": """
+        def proc(env):
+            yield env.timeout(-3)
+    """,
+    "SF305 negative delay= keyword": """
+        def proc(env):
+            yield env.timeout(delay=-0.5)
+    """,
+    "SF305 negative schedule delay": """
+        def f(env, ev):
+            env.schedule(ev, -1)
+    """,
+    "SF306 while True without yield": """
+        def proc(env):
+            yield env.timeout(1)
+            while True:
+                spin = 1 + 1
+    """,
+    "SF306 env.now loop without yield": """
+        def proc(env):
+            yield env.timeout(1)
+            while env.now < 10.0:
+                spin = 1 + 1
+    """,
+    "SL202 time.time() into a timeout": """
+        import time
+
+        def proc(env):
+            delay = time.time() % 1.0
+            yield env.timeout(delay)
+    """,
+    "SF307 hash() into seed=": """
+        def run(name, stream_over):
+            stream_over(seed=hash(name) % 100)
+    """,
+    "SL201 random.random() into a timeout": """
+        import random
+
+        def proc(env):
+            d = random.random()
+            yield env.timeout(d)
+    """,
+    "SF307 perf_counter() via a helper": """
+        import time
+
+        def jitter():
+            return time.perf_counter() % 0.1
+
+        def proc(env):
+            d = jitter()
+            yield env.timeout(d)
+    """,
+    "SF307 set iteration order": """
+        def proc(env, names):
+            pending = set(names)
+            for name in pending:
+                yield env.timeout(len(name))
+    """,
+}
 
 
 def flow(code, path="fixture.py"):
@@ -19,14 +147,15 @@ def rules_of(diags):
     return sorted(d.rule for d in diags)
 
 
+def both(code, path="fixture.py"):
+    """Findings of the lint and flow layers together."""
+    code = textwrap.dedent(code)
+    return lint_source(code, path) + analyze_source(code, path)
+
+
 class TestSF301EventOverwritten:
     def test_positive_overwrite_before_yield(self):
-        diags = flow("""
-            def proc(env):
-                ev = env.timeout(1)
-                ev = env.timeout(2)
-                yield ev
-        """)
+        diags = flow(POSITIVE["SF301 event overwritten before yield"])
         assert rules_of(diags) == ["SF301"]
         assert diags[0].line == 4
 
@@ -42,13 +171,7 @@ class TestSF301EventOverwritten:
     def test_positive_on_one_branch_only(self):
         # The overwrite happens on the `if` path; may-analysis
         # still catches it.
-        diags = flow("""
-            def proc(env, flag):
-                ev = env.timeout(1)
-                if flag:
-                    ev = env.timeout(2)
-                yield ev
-        """)
+        diags = flow(POSITIVE["SF301 overwrite on one branch"])
         assert rules_of(diags) == ["SF301"]
 
     def test_negative_collected_into_any_of(self):
@@ -71,19 +194,11 @@ class TestSF301EventOverwritten:
 
 class TestSF302YieldNonEvent:
     def test_positive_constant_yield(self):
-        diags = flow("""
-            def proc(env):
-                yield env.timeout(1)
-                yield 5
-        """)
+        diags = flow(POSITIVE["SF302 yield of a constant"])
         assert rules_of(diags) == ["SF302"]
 
     def test_positive_bare_yield(self):
-        diags = flow("""
-            def proc(env):
-                yield env.timeout(1)
-                yield
-        """)
+        diags = flow(POSITIVE["SF302 bare yield"])
         assert rules_of(diags) == ["SF302"]
 
     def test_negative_data_generator_exempt(self):
@@ -104,13 +219,7 @@ class TestSF302YieldNonEvent:
 
 class TestSF303ResourceLeak:
     def test_positive_held_across_unprotected_yield(self):
-        diags = flow("""
-            def proc(env, cpu):
-                req = cpu.request()
-                yield req
-                yield env.timeout(1)
-                cpu.release(req)
-        """)
+        diags = flow(POSITIVE["SF303 held across unprotected yield"])
         assert rules_of(diags) == ["SF303"]
         assert "held across a yield" in diags[0].message
 
@@ -134,26 +243,12 @@ class TestSF303ResourceLeak:
         """) == []
 
     def test_positive_early_return_leaks(self):
-        diags = flow("""
-            def proc(env, cpu):
-                req = cpu.request()
-                yield req
-                if env.now > 5:
-                    return
-                cpu.release(req)
-        """)
+        diags = flow(POSITIVE["SF303 early return leaks"])
         assert rules_of(diags) == ["SF303"]
         assert "exit without release" in diags[0].message
 
     def test_positive_rebind_while_acquired(self):
-        diags = flow("""
-            def proc(env, cpu):
-                req = cpu.request()
-                yield req
-                req = cpu.request()
-                yield req
-                cpu.release(req)
-        """)
+        diags = flow(POSITIVE["SF303 rebind while acquired"])
         assert "SF303" in rules_of(diags)
 
     def test_negative_cancel_releases(self):
@@ -167,21 +262,7 @@ class TestSF303ResourceLeak:
 
 class TestSF304LockOrder:
     def test_positive_conflicting_order_across_functions(self):
-        diags = flow("""
-            def a(env, bus, mem):
-                with bus.request() as r1:
-                    yield r1
-                    with mem.request() as r2:
-                        yield r2
-                        yield env.timeout(1)
-
-            def b(env, bus, mem):
-                with mem.request() as r1:
-                    yield r1
-                    with bus.request() as r2:
-                        yield r2
-                        yield env.timeout(1)
-        """)
+        diags = flow(POSITIVE["SF304 conflicting acquisition order"])
         assert set(rules_of(diags)) == {"SF304"}
         assert all(d.severity is Severity.WARNING for d in diags)
         # One finding per participating site.
@@ -215,24 +296,15 @@ class TestSF304LockOrder:
 
 class TestSF305PastScheduling:
     def test_positive_negative_timeout(self):
-        diags = flow("""
-            def proc(env):
-                yield env.timeout(-3)
-        """)
+        diags = flow(POSITIVE["SF305 negative timeout"])
         assert rules_of(diags) == ["SF305"]
 
     def test_positive_delay_keyword(self):
-        diags = flow("""
-            def proc(env):
-                yield env.timeout(delay=-0.5)
-        """)
+        diags = flow(POSITIVE["SF305 negative delay= keyword"])
         assert rules_of(diags) == ["SF305"]
 
     def test_positive_schedule_second_arg(self):
-        diags = flow("""
-            def f(env, ev):
-                env.schedule(ev, -1)
-        """)
+        diags = flow(POSITIVE["SF305 negative schedule delay"])
         assert rules_of(diags) == ["SF305"]
 
     def test_negative_positive_delay(self):
@@ -251,21 +323,11 @@ class TestSF305PastScheduling:
 
 class TestSF306Starvation:
     def test_positive_while_true_without_yield(self):
-        diags = flow("""
-            def proc(env):
-                yield env.timeout(1)
-                while True:
-                    spin = 1 + 1
-        """)
+        diags = flow(POSITIVE["SF306 while True without yield"])
         assert rules_of(diags) == ["SF306"]
 
     def test_positive_simulated_time_condition(self):
-        diags = flow("""
-            def proc(env):
-                yield env.timeout(1)
-                while env.now < 10.0:
-                    spin = 1 + 1
-        """)
+        diags = flow(POSITIVE["SF306 env.now loop without yield"])
         assert rules_of(diags) == ["SF306"]
 
     def test_negative_yield_in_body(self):
@@ -295,54 +357,27 @@ class TestSF306Starvation:
 
 class TestSF307DeterminismTaint:
     def test_positive_wall_clock_to_timeout(self):
-        diags = flow("""
-            import time
-
-            def proc(env):
-                delay = time.time() % 1.0
-                yield env.timeout(delay)
-        """)
-        assert rules_of(diags) == ["SF307"]
+        # SL202 flags the time.time() read itself; the flow layer does
+        # not report the same defect a second time.
+        diags = both(POSITIVE["SL202 time.time() into a timeout"])
+        assert rules_of(diags) == ["SL202"]
 
     def test_positive_hash_to_seed(self):
-        diags = flow("""
-            def run(name, stream_over):
-                stream_over(seed=hash(name) % 100)
-        """)
+        diags = flow(POSITIVE["SF307 hash() into seed="])
         assert rules_of(diags) == ["SF307"]
 
     def test_positive_global_rng_to_timeout(self):
-        diags = flow("""
-            import random
-
-            def proc(env):
-                d = random.random()
-                yield env.timeout(d)
-        """)
-        # SL201 (the statement-local rule) is simlint's; simflow adds
-        # the flow fact that it reaches the schedule.
-        assert "SF307" in rules_of(diags)
+        # SL201 flags the unseeded draw itself; the flow layer does
+        # not report the same defect a second time.
+        diags = both(POSITIVE["SL201 random.random() into a timeout"])
+        assert rules_of(diags) == ["SL201"]
 
     def test_positive_interprocedural_through_helper(self):
-        diags = flow("""
-            import time
-
-            def jitter():
-                return time.perf_counter() % 0.1
-
-            def proc(env):
-                d = jitter()
-                yield env.timeout(d)
-        """)
+        diags = flow(POSITIVE["SF307 perf_counter() via a helper"])
         assert rules_of(diags) == ["SF307"]
 
     def test_positive_set_iteration_order(self):
-        diags = flow("""
-            def proc(env, names):
-                pending = set(names)
-                for name in pending:
-                    yield env.timeout(len(name))
-        """)
+        diags = flow(POSITIVE["SF307 set iteration order"])
         assert "SF307" in rules_of(diags)
 
     def test_negative_seeded_stream(self):
@@ -429,6 +464,15 @@ MUTATIONS = [
                 with bus.request() as grant:
                     yield grant
                     yield env.timeout(time.time() % 1.0)
+    """, "SL202"),
+    ("perf-counter delay", """
+        import time
+
+        def transfer(env, bus, packets):
+            for size in packets:
+                with bus.request() as grant:
+                    yield grant
+                    yield env.timeout(time.perf_counter() % 1.0)
     """, "SF307"),
 ]
 
@@ -437,13 +481,13 @@ class TestSeededDefectMutations:
     """Each mutation of one clean process is caught by its rule."""
 
     def test_clean_variant_is_clean(self):
-        assert flow(CLEAN_PROCESS) == []
+        assert both(CLEAN_PROCESS) == []
 
     @pytest.mark.parametrize(
         "name,mutant,rule",
         MUTATIONS, ids=[m[0] for m in MUTATIONS])
     def test_mutation_is_caught(self, name, mutant, rule):
-        assert rule in rules_of(flow(mutant))
+        assert rule in rules_of(both(mutant))
 
 
 class TestProjectWideAnalysis:
@@ -483,49 +527,3 @@ class TestRepositoryGate:
         diags = check_repository(models=False, lint=False, flow=True)
         assert diags == [], "\n".join(str(d) for d in diags)
 
-
-class TestPreflightFlow:
-    def test_preflight_flow_runs_simflow_on_runner_module(self):
-        from repro import experiments
-
-        # Every registered experiment's runner module must be
-        # flow-clean, and the subjects must carry the experiment id.
-        for exp_id in experiments.ids():
-            diags = experiments.preflight(exp_id, flow=True)
-            flow_diags = [d for d in diags
-                          if d.rule.startswith("SF3")]
-            assert flow_diags == [], "\n".join(
-                str(d) for d in flow_diags)
-
-    def test_preflight_flow_flags_defective_runner(self, tmp_path,
-                                                   monkeypatch):
-        import sys
-
-        from repro import experiments
-        from repro.experiments.registry import _REGISTRY
-
-        module_path = tmp_path / "defective_runner.py"
-        module_path.write_text(textwrap.dedent("""
-            def runner(ctx):
-                import time
-
-                def proc(env):
-                    yield env.timeout(time.time() % 1.0)
-                return proc
-        """))
-        sys.path.insert(0, str(tmp_path))
-        try:
-            import defective_runner
-
-            monkeypatch.setitem(
-                _REGISTRY, "zz-flow-test",
-                experiments.Experiment(
-                    id="zz-flow-test", claim="test",
-                    runner=defective_runner.runner))
-            diags = experiments.preflight("zz-flow-test", flow=True)
-            assert [d.rule for d in diags] == ["SF307"]
-            assert diags[0].subject.startswith(
-                "experiment:zz-flow-test/")
-        finally:
-            sys.path.remove(str(tmp_path))
-            sys.modules.pop("defective_runner", None)

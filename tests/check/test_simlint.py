@@ -6,6 +6,101 @@ import textwrap
 from repro.check import lint_paths, lint_source
 
 
+#: Every positive fixture of a Layer-2 rule, keyed by an id that
+#: starts with the rule it must trigger (tests/check/test_layers.py
+#: also runs each one through both layers).
+POSITIVE = {
+    "SL200 syntax error": "def broken(:\n",
+    "SL201 random.random()": """
+        import random
+        x = random.random()
+    """,
+    "SL201 from random import gauss": """
+        from random import gauss
+        x = gauss(0, 1)
+    """,
+    "SL201 np.random.rand()": """
+        import numpy as np
+        x = np.random.rand(4)
+    """,
+    "SL201 default_rng() without seed": """
+        import numpy as np
+        rng = np.random.default_rng()
+    """,
+    "SL202 time.time()": """
+        import time
+        t = time.time()
+    """,
+    "SL202 time.sleep()": """
+        import time
+        time.sleep(1)
+    """,
+    "SL202 datetime.now()": """
+        from datetime import datetime
+        t = datetime.now()
+    """,
+    "SL203 bare env.timeout()": """
+        def proc(env):
+            env.timeout(5)
+            yield env.timeout(1)
+    """,
+    "SL204 list default": """
+        def build(streams=[]):
+            return streams
+    """,
+    "SL204 dict() default": """
+        def build(opts=dict()):
+            return opts
+    """,
+    "SL205 t == env.now": """
+        def check(env, t):
+            return t == env.now
+    """,
+    "SL206 import multiprocessing": """
+        import multiprocessing
+        pool = multiprocessing.Pool(4)
+    """,
+    "SL206 from multiprocessing import": """
+        from multiprocessing import Pool
+    """,
+    "SL206 concurrent.futures": """
+        from concurrent.futures import ProcessPoolExecutor
+    """,
+    "SL207 except Exception: pass": """
+        try:
+            risky()
+        except Exception:
+            pass
+    """,
+    "SL207 bare except: pass": """
+        try:
+            risky()
+        except:
+            pass
+    """,
+    "SL207 except BaseException: ...": """
+        try:
+            risky()
+        except BaseException:
+            ...
+    """,
+    "SL207 except Exception: continue": """
+        for item in items:
+            try:
+                risky(item)
+            except Exception:
+                continue
+    """,
+    "SL207 builtins.Exception in tuple": """
+        import builtins
+        try:
+            risky()
+        except (KeyError, builtins.Exception):
+            pass
+    """,
+}
+
+
 def lint(code):
     return lint_source(textwrap.dedent(code), "fixture.py")
 
@@ -16,7 +111,7 @@ def rules_of(diags):
 
 class TestSL200Parse:
     def test_syntax_error_reports_sl200(self):
-        diags = lint("def broken(:\n")
+        diags = lint(POSITIVE["SL200 syntax error"])
         assert rules_of(diags) == {"SL200"}
         assert diags[0].line == 1
 
@@ -26,31 +121,19 @@ class TestSL200Parse:
 
 class TestSL201Rng:
     def test_global_random_module(self):
-        diags = lint("""
-            import random
-            x = random.random()
-        """)
+        diags = lint(POSITIVE["SL201 random.random()"])
         assert "SL201" in rules_of(diags)
 
     def test_random_from_import(self):
-        diags = lint("""
-            from random import gauss
-            x = gauss(0, 1)
-        """)
+        diags = lint(POSITIVE["SL201 from random import gauss"])
         assert "SL201" in rules_of(diags)
 
     def test_numpy_legacy_global(self):
-        diags = lint("""
-            import numpy as np
-            x = np.random.rand(4)
-        """)
+        diags = lint(POSITIVE["SL201 np.random.rand()"])
         assert "SL201" in rules_of(diags)
 
     def test_unseeded_default_rng(self):
-        diags = lint("""
-            import numpy as np
-            rng = np.random.default_rng()
-        """)
+        diags = lint(POSITIVE["SL201 default_rng() without seed"])
         assert "SL201" in rules_of(diags)
 
     def test_seeded_default_rng_is_clean(self):
@@ -78,24 +161,15 @@ class TestSL201Rng:
 
 class TestSL202WallClock:
     def test_time_time(self):
-        diags = lint("""
-            import time
-            t = time.time()
-        """)
+        diags = lint(POSITIVE["SL202 time.time()"])
         assert "SL202" in rules_of(diags)
 
     def test_time_sleep(self):
-        diags = lint("""
-            import time
-            time.sleep(1)
-        """)
+        diags = lint(POSITIVE["SL202 time.sleep()"])
         assert "SL202" in rules_of(diags)
 
     def test_datetime_now(self):
-        diags = lint("""
-            from datetime import datetime
-            t = datetime.now()
-        """)
+        diags = lint(POSITIVE["SL202 datetime.now()"])
         assert "SL202" in rules_of(diags)
 
     def test_perf_counter_is_allowed(self):
@@ -108,11 +182,7 @@ class TestSL202WallClock:
 
 class TestSL203BareEvents:
     def test_bare_timeout_in_generator(self):
-        diags = lint("""
-            def proc(env):
-                env.timeout(5)
-                yield env.timeout(1)
-        """)
+        diags = lint(POSITIVE["SL203 bare env.timeout()"])
         assert "SL203" in rules_of(diags)
         assert [d.line for d in diags] == [3]
 
@@ -145,17 +215,11 @@ class TestSL203BareEvents:
 
 class TestSL204MutableDefaults:
     def test_list_default(self):
-        diags = lint("""
-            def build(streams=[]):
-                return streams
-        """)
+        diags = lint(POSITIVE["SL204 list default"])
         assert "SL204" in rules_of(diags)
 
     def test_dict_call_default(self):
-        diags = lint("""
-            def build(opts=dict()):
-                return opts
-        """)
+        diags = lint(POSITIVE["SL204 dict() default"])
         assert "SL204" in rules_of(diags)
 
     def test_none_default_is_clean(self):
@@ -168,10 +232,7 @@ class TestSL204MutableDefaults:
 
 class TestSL205TimeEquality:
     def test_eq_against_env_now(self):
-        diags = lint("""
-            def check(env, t):
-                return t == env.now
-        """)
+        diags = lint(POSITIVE["SL205 t == env.now"])
         assert "SL205" in rules_of(diags)
 
     def test_ordered_comparison_is_clean(self):
@@ -184,22 +245,15 @@ class TestSL205TimeEquality:
 
 class TestSL206BareMultiprocessing:
     def test_import_multiprocessing(self):
-        diags = lint("""
-            import multiprocessing
-            pool = multiprocessing.Pool(4)
-        """)
+        diags = lint(POSITIVE["SL206 import multiprocessing"])
         assert "SL206" in rules_of(diags)
 
     def test_from_import(self):
-        diags = lint("""
-            from multiprocessing import Pool
-        """)
+        diags = lint(POSITIVE["SL206 from multiprocessing import"])
         assert "SL206" in rules_of(diags)
 
     def test_concurrent_futures(self):
-        diags = lint("""
-            from concurrent.futures import ProcessPoolExecutor
-        """)
+        diags = lint(POSITIVE["SL206 concurrent.futures"])
         assert "SL206" in rules_of(diags)
 
     def test_repro_parallel_is_exempt(self):
@@ -225,50 +279,23 @@ class TestSL206BareMultiprocessing:
 
 class TestSL207SwallowedException:
     def test_broad_except_pass(self):
-        diags = lint("""
-            try:
-                risky()
-            except Exception:
-                pass
-        """)
+        diags = lint(POSITIVE["SL207 except Exception: pass"])
         assert "SL207" in rules_of(diags)
 
     def test_bare_except_pass(self):
-        diags = lint("""
-            try:
-                risky()
-            except:
-                pass
-        """)
+        diags = lint(POSITIVE["SL207 bare except: pass"])
         assert "SL207" in rules_of(diags)
 
     def test_base_exception_ellipsis(self):
-        diags = lint("""
-            try:
-                risky()
-            except BaseException:
-                ...
-        """)
+        diags = lint(POSITIVE["SL207 except BaseException: ..."])
         assert "SL207" in rules_of(diags)
 
     def test_broad_except_continue_in_loop(self):
-        diags = lint("""
-            for item in items:
-                try:
-                    risky(item)
-                except Exception:
-                    continue
-        """)
+        diags = lint(POSITIVE["SL207 except Exception: continue"])
         assert "SL207" in rules_of(diags)
 
     def test_swallowed_dotted_exception_in_tuple(self):
-        diags = lint("""
-            import builtins
-            try:
-                risky()
-            except (KeyError, builtins.Exception):
-                pass
-        """)
+        diags = lint(POSITIVE["SL207 builtins.Exception in tuple"])
         assert "SL207" in rules_of(diags)
 
     def test_narrow_exception_pass_is_clean(self):

@@ -181,7 +181,7 @@ class TestCheckCommand:
     def test_check_json_document_shape(self, capsys):
         assert main(["check", "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["version"] == 1
+        assert document["version"] == 2
         assert set(document["counts"]) == {"error", "warning", "info"}
         assert document["diagnostics"] == []
 
@@ -206,7 +206,7 @@ class TestCheckCommand:
         assert main(["check", "--out", str(out_file)]) == 0
         capsys.readouterr()
         document = json.loads(out_file.read_text())
-        assert document["version"] == 1
+        assert document["version"] == 2
 
     def test_check_missing_path_is_usage_error(self, capsys):
         assert main(["check", "--lint", "does/not/exist.py"]) == 2
@@ -230,15 +230,15 @@ class TestCheckCommand:
         assert main(["check", "--flow", str(clock)]) == 0
         capsys.readouterr()
 
-    def test_check_json_includes_fingerprints(self, tmp_path,
-                                              capsys):
+    def test_check_json_finding_keys(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text("import time\nt = time.time()\n")
         assert main(["check", "--lint", "--json", str(bad)]) == 1
         document = json.loads(capsys.readouterr().out)
         entry = document["diagnostics"][0]
         assert entry["rule"] == "SL202"
-        assert len(entry["fingerprint"]) == 16
+        assert sorted(entry) == ["fix_hint", "line", "message",
+                                 "rule", "severity", "subject"]
 
 
 class TestBenchCommand:
