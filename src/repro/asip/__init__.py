@@ -22,8 +22,7 @@ from repro.asip.isa import (
     ExtensibleProcessor,
     IsaRestrictions,
 )
-from repro.asip.parameters import ProcessorParameters, parameter_sweep
-from repro.asip.retarget import RetargetableToolchain, effective_speedup
+from repro.asip.parameters import ProcessorParameters
 from repro.asip.profiler import IssProfiler, KernelCycles, Profile
 from repro.asip.workloads import (
     Kernel,
@@ -53,7 +52,4 @@ __all__ = [
     "STANDARD_BLOCKS",
     "select_blocks",
     "ProcessorParameters",
-    "parameter_sweep",
-    "RetargetableToolchain",
-    "effective_speedup",
 ]

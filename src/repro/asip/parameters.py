@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["ProcessorParameters", "parameter_sweep"]
+__all__ = ["ProcessorParameters"]
 
 
 @dataclass(frozen=True)
@@ -94,20 +94,3 @@ class ProcessorParameters:
         return (1_100.0 * (self.icache_kb + self.dcache_kb)
                 + 220.0 * self.n_registers)
 
-
-def parameter_sweep(
-    cache_sizes=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
-    n_registers: int = 32,
-) -> list[tuple[ProcessorParameters, float, float]]:
-    """(parameters, cycle multiplier, gates) across cache sizes.
-
-    The designer's accommodation curve: bigger caches cost gates and
-    buy CPI, with diminishing returns.
-    """
-    rows = []
-    for size in cache_sizes:
-        params = ProcessorParameters(
-            icache_kb=size, dcache_kb=size, n_registers=n_registers,
-        )
-        rows.append((params, params.cycle_multiplier(), params.gates()))
-    return rows

@@ -36,12 +36,7 @@ from repro.des.events import (
     Timeout,
     URGENT,
 )
-from repro.des.resources import (
-    PriorityRequest,
-    PriorityResource,
-    Request,
-    Resource,
-)
+from repro.des.resources import Request, Resource
 from repro.des.stores import FiniteQueue, Store, StoreGet, StorePut
 
 __all__ = [
@@ -62,8 +57,6 @@ __all__ = [
     "NORMAL",
     "Resource",
     "Request",
-    "PriorityResource",
-    "PriorityRequest",
     "Store",
     "FiniteQueue",
     "StorePut",

@@ -1,7 +1,7 @@
 """Shared, limited-capacity resources (servers, CPUs, links).
 
 A :class:`Resource` is what a scheduler process contends for: requests are
-granted in FIFO (or priority) order up to the resource capacity, and the
+granted in FIFO order up to the resource capacity, and the
 request object doubles as a context manager so model code reads:
 
 >>> from repro.des import Environment, Resource
@@ -22,8 +22,6 @@ request object doubles as a context manager so model code reads:
 
 from __future__ import annotations
 
-import heapq
-from itertools import count
 from typing import TYPE_CHECKING
 
 from repro.des.events import Event
@@ -32,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.des.environment import Environment
     from repro.obs.metrics import MetricRegistry
 
-__all__ = ["Request", "Resource", "PriorityRequest", "PriorityResource"]
+__all__ = ["Request", "Resource"]
 
 
 class Request(Event):
@@ -61,14 +59,6 @@ class Request(Event):
             self.resource.release(self)
         return False
 
-    def cancel(self) -> None:
-        """Withdraw the claim — waiting or granted — from the resource.
-
-        Alias of :meth:`Resource.release` so that an interrupted
-        process can abandon any waiter event uniformly.
-        """
-        self.resource.release(self)
-
 
 class Resource:
     """A FIFO resource with integer capacity.
@@ -91,9 +81,6 @@ class Resource:
         self.name = name
         self.users: list[Request] = []
         self.queue: list[Request] = []
-        #: While True no new grants are made (current holders finish);
-        #: fault injectors toggle this via :meth:`set_out_of_service`.
-        self.out_of_service = False
         # Metric handles, resolved once; anonymous resources share the
         # label "resource" (their wait times aggregate).
         registry = metrics if metrics is not None \
@@ -130,13 +117,6 @@ class Resource:
         # Releasing an already-released request is a no-op so that the
         # with-statement exit stays safe after interrupts.
 
-    def set_out_of_service(self, flag: bool) -> None:
-        """Stop (or resume) granting the resource; resuming grants to
-        any requests that queued up during the outage."""
-        self.out_of_service = bool(flag)
-        if not self.out_of_service:
-            self._grant_next()
-
     def _enqueue(self, request: Request) -> None:
         self.queue.append(request)
         self._grant_next()
@@ -149,79 +129,9 @@ class Resource:
         self._m_queue.set(pending, now)
 
     def _grant_next(self) -> None:
-        if self.out_of_service:
-            return
         while self.queue and len(self.users) < self.capacity:
             request = self.queue.pop(0)
             self.users.append(request)
             request.succeed()
             if self._m_wait is not None:
                 self._note_grant(request, len(self.queue))
-
-
-class PriorityRequest(Request):
-    """A request with a priority (lower value = more urgent)."""
-
-    __slots__ = ("priority",)
-
-    def __init__(self, resource: "PriorityResource", priority: float = 0.0):
-        self.priority = float(priority)
-        super().__init__(resource)
-
-
-class PriorityResource(Resource):
-    """A resource whose waiting queue is ordered by request priority.
-
-    Ties are broken by arrival order.  No preemption: a grant is never
-    revoked.
-    """
-
-    def __init__(self, env: "Environment", capacity: int = 1, *,
-                 name: str | None = None,
-                 metrics: "MetricRegistry | None" = None):
-        super().__init__(env, capacity, name=name, metrics=metrics)
-        self._heap: list[tuple[float, int, PriorityRequest]] = []
-        self._order = count()
-
-    def request(self, priority: float = 0.0) -> PriorityRequest:
-        """Return a prioritized request event."""
-        return PriorityRequest(self, priority)
-
-    def release(self, request: Request) -> None:
-        if request in self.users:
-            self.users.remove(request)
-            self._grant_next()
-        else:
-            # Lazy removal from the heap: mark by filtering on grant.
-            self._heap = [
-                entry for entry in self._heap if entry[2] is not request
-            ]
-            heapq.heapify(self._heap)
-
-    def _enqueue(self, request: Request) -> None:
-        assert isinstance(request, PriorityRequest)
-        heapq.heappush(
-            self._heap, (request.priority, next(self._order), request)
-        )
-        self._grant_next()
-
-    def _grant_next(self) -> None:
-        if self.out_of_service:
-            return
-        while self._heap and len(self.users) < self.capacity:
-            _, _, request = heapq.heappop(self._heap)
-            self.users.append(request)
-            request.succeed()
-            if self._m_wait is not None:
-                self._note_grant(request, len(self._heap))
-
-    @property
-    def queue(self) -> list[Request]:  # type: ignore[override]
-        """Waiting requests in grant order."""
-        return [entry[2] for entry in sorted(self._heap)]
-
-    @queue.setter
-    def queue(self, value) -> None:
-        # Base-class __init__ assigns an empty list; accept and ignore it.
-        if value:
-            raise TypeError("queue of a PriorityResource is derived")

@@ -8,7 +8,6 @@ from repro.manet.lifetime import (
     compare_protocols,
     simulate_lifetime,
 )
-from repro.manet.mobility import RandomWalkMobility
 from repro.manet.network import ManetNetwork, random_network
 from repro.manet.node import ManetNode
 from repro.manet.routing import (
@@ -23,7 +22,6 @@ __all__ = [
     "RadioModel",
     "ManetNode",
     "ManetNetwork",
-    "RandomWalkMobility",
     "random_network",
     "RoutingProtocol",
     "MinimumPowerRouting",

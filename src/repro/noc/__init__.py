@@ -27,7 +27,6 @@ from repro.noc.mapping import (
     branch_and_bound_mapping,
     greedy_mapping,
     random_noc_mapping,
-    parallel_annealing_mapping,
     simulated_annealing_mapping,
 )
 from repro.noc.network import NocNetwork, NocNetworkStats, NocPacket
@@ -38,7 +37,7 @@ from repro.noc.packet_sizing import (
     packet_size_sweep,
     run_packet_size_trial,
 )
-from repro.noc.routing import route_links, west_first_route, xy_route
+from repro.noc.routing import route_links, xy_route
 from repro.noc.scheduling import (
     ScheduledTask,
     ScheduleResult,
@@ -52,7 +51,6 @@ __all__ = [
     "Tile",
     "NocEnergyModel",
     "xy_route",
-    "west_first_route",
     "route_links",
     "NocPacket",
     "NocNetwork",
@@ -66,7 +64,6 @@ __all__ = [
     "random_noc_mapping",
     "greedy_mapping",
     "simulated_annealing_mapping",
-    "parallel_annealing_mapping",
     "branch_and_bound_mapping",
     "ScheduleResult",
     "ScheduledTask",

@@ -62,9 +62,6 @@ class NocNetworkStats:
     latency: SummaryStats = field(
         default_factory=lambda: SummaryStats("noc-latency")
     )
-    hop_count: SummaryStats = field(
-        default_factory=lambda: SummaryStats("noc-hops")
-    )
 
     @property
     def header_overhead(self) -> float:
@@ -95,8 +92,6 @@ class NocNetwork:
         Fixed per-hop routing/arbitration delay in seconds.
     energy_model:
         Bit-energy figures for the energy account.
-    route:
-        Routing function ``(mesh, src, dst) -> [tiles]``; XY default.
     """
 
     def __init__(
@@ -106,7 +101,6 @@ class NocNetwork:
         link_bandwidth: float = 2e9,
         router_latency: float = 10e-9,
         energy_model: NocEnergyModel | None = None,
-        route=xy_route,
     ):
         if link_bandwidth <= 0:
             raise ValueError("link_bandwidth must be positive")
@@ -117,7 +111,6 @@ class NocNetwork:
         self.link_bandwidth = link_bandwidth
         self.router_latency = router_latency
         self.energy_model = energy_model or NocEnergyModel()
-        self.route = route
         self._links = {
             link: Resource(env, capacity=1) for link in mesh.links()
         }
@@ -153,7 +146,7 @@ class NocNetwork:
         """
 
         def transfer():
-            path = self.route(self.mesh, packet.src, packet.dst)
+            path = xy_route(self.mesh, packet.src, packet.dst)
             hops = len(path) - 1
             for link in route_links(path):
                 with self._links[link].request() as claim:
@@ -175,7 +168,6 @@ class NocNetwork:
         self.stats.energy += energy
         latency = self.env.now - packet.created
         self.stats.latency.add(latency)
-        self.stats.hop_count.add(hops)
         if self._m_delivered is not None:
             self._m_delivered.inc()
             self._m_energy.inc(energy)

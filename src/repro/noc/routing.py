@@ -1,15 +1,14 @@
 """Deterministic NoC routing algorithms.
 
 XY (dimension-ordered) routing is the standard deadlock-free choice for
-2D meshes; west-first is included as a partially-adaptive alternative so
-the routing choice itself can be ablated.
+2D meshes, and the one every NoC model here uses.
 """
 
 from __future__ import annotations
 
 from repro.noc.topology import Mesh2D, Tile
 
-__all__ = ["xy_route", "west_first_route", "route_links"]
+__all__ = ["xy_route", "route_links"]
 
 
 def xy_route(mesh: Mesh2D, src: Tile, dst: Tile) -> list[Tile]:
@@ -35,33 +34,6 @@ def xy_route(mesh: Mesh2D, src: Tile, dst: Tile) -> list[Tile]:
     step_y = 1 if dst.y > y else -1
     while y != dst.y:
         y += step_y
-        path.append(Tile(x, y))
-    return path
-
-
-def west_first_route(mesh: Mesh2D, src: Tile, dst: Tile) -> list[Tile]:
-    """West-first routing: all westward motion happens first, after which
-    the packet may adapt (here: Y-then-X for the remaining quadrant).
-
-    Still minimal and deadlock-free under the turn model; differs from
-    XY only for east-bound traffic.
-    """
-    for tile in (src, dst):
-        if not mesh.contains(tile):
-            raise ValueError(f"{tile} outside {mesh}")
-    path = [src]
-    x, y = src.x, src.y
-    # Mandatory westward leg first.
-    while x > dst.x:
-        x -= 1
-        path.append(Tile(x, y))
-    # Remaining motion is north/south then east.
-    step_y = 1 if dst.y > y else -1
-    while y != dst.y:
-        y += step_y
-        path.append(Tile(x, y))
-    while x < dst.x:
-        x += 1
         path.append(Tile(x, y))
     return path
 

@@ -27,9 +27,7 @@ because a retried replica reruns the *same* derived seed — keeps the
 byte-identical merge contract intact through all of it.
 
 :func:`parallel_map` is the underlying generic primitive, also used
-by the SA mapper's multi-start mode
-(:func:`repro.noc.parallel_annealing_mapping`) and ``repro bench
---workers``.
+by ``repro bench --workers`` and ``repro scenario generate``.
 
 This module is the **only** sanctioned home for ``multiprocessing``
 in the repository: the SL206 lint rule flags process-pool usage

@@ -51,7 +51,7 @@ import pickle
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection as _mp_connection
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence

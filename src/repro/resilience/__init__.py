@@ -6,26 +6,18 @@ package makes failure a first-class *simulation event* rather than an
 offline trace:
 
 * :mod:`repro.resilience.faults` — :class:`FaultInjector` processes
-  that break and repair live model components (DES resources and
-  stores, stream channels, platform PEs and links, running processes)
-  on sampled fail/repair schedules;
+  that break and repair live model components (stream channels) on
+  sampled fail/repair schedules, or only record outage windows;
 * :mod:`repro.resilience.harness` — QoS-vs-fault-rate sweeps over the
   existing experiments, quantifying *graceful degradation* (the paper's
   redundancy/adaptation claim) against crash-or-stall baselines.
 """
 
 from repro.resilience.faults import (
-    BreakableLink,
-    BreakablePE,
-    BreakableResource,
-    BreakableStore,
-    CallbackBreakable,
     FailureModel,
     FaultEvent,
     FaultInjector,
-    ProcessKill,
     all_down_intervals,
-    any_up_fraction,
     session_fault_plan,
 )
 from repro.resilience.harness import (
@@ -45,15 +37,8 @@ __all__ = [
     "FailureModel",
     "FaultEvent",
     "FaultInjector",
-    "ProcessKill",
-    "BreakableResource",
-    "BreakableStore",
-    "BreakablePE",
-    "BreakableLink",
-    "CallbackBreakable",
     "session_fault_plan",
     "all_down_intervals",
-    "any_up_fraction",
     # harness
     "QosPoint",
     "DegradationCurve",

@@ -4,12 +4,9 @@ A :class:`FaultInjector` is a DES process that repeatedly samples a
 time-to-failure from a :class:`FailureModel`, breaks its target, then
 (unless the failure is permanent) samples a time-to-repair and mends
 it.  Targets are *breakables*: anything exposing ``fail(cause)`` and
-``repair()``.  Adapters are provided for every shareable component of
-the repository — DES :class:`~repro.des.resources.Resource` and
-:class:`~repro.des.stores.Store`, platform
-:class:`~repro.core.architecture.ProcessingElement` and interconnect
-links, and plain processes (killed via
-:meth:`~repro.des.events.Process.interrupt`).
+``repair()``, such as a stream
+:class:`~repro.streams.channel.Channel`, or ``None`` to record the
+outage windows alone.
 
 Everything is seeded through :func:`repro.utils.rng.spawn_rng`, so a
 fault-injected run is exactly as reproducible as a fault-free one.
@@ -19,31 +16,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING
 
 from repro.des.events import Interrupt
 from repro.utils.rng import spawn_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.architecture import Interconnect, ProcessingElement
     from repro.des.environment import Environment
-    from repro.des.events import Process
-    from repro.des.resources import Resource
-    from repro.des.stores import Store
 
 __all__ = [
     "FailureModel",
     "FaultEvent",
     "FaultInjector",
-    "ProcessKill",
-    "BreakableResource",
-    "BreakableStore",
-    "BreakablePE",
-    "BreakableLink",
-    "CallbackBreakable",
     "session_fault_plan",
     "all_down_intervals",
-    "any_up_fraction",
 ]
 
 
@@ -132,9 +118,9 @@ class FailureModel:
 class FaultEvent:
     """The cause object delivered with an injected fault.
 
-    Carried as the :class:`~repro.des.events.Interrupt` cause when the
-    target is a process, and passed to ``fail`` otherwise, so handlers
-    can distinguish injected faults from other interrupts.
+    Passed to the target's ``fail``; a stream channel forwards it as
+    the :class:`~repro.des.events.Interrupt` cause to its relay, so
+    handlers can distinguish injected faults from other interrupts.
     """
 
     def __init__(self, injector: str, index: int, time: float,
@@ -148,96 +134,6 @@ class FaultEvent:
         kind = "permanent" if self.permanent else "recoverable"
         return (f"FaultEvent({self.injector!r} #{self.index} "
                 f"at t={self.time:g}, {kind})")
-
-
-class CallbackBreakable:
-    """Adapter turning two callables into a breakable target."""
-
-    def __init__(self, on_fail: Callable[[Any], None] | None = None,
-                 on_repair: Callable[[], None] | None = None):
-        self._on_fail = on_fail
-        self._on_repair = on_repair
-
-    def fail(self, cause: Any = None) -> None:
-        if self._on_fail is not None:
-            self._on_fail(cause)
-
-    def repair(self) -> None:
-        if self._on_repair is not None:
-            self._on_repair()
-
-
-class ProcessKill:
-    """Breakable that interrupts a victim process on every fault.
-
-    The victim decides — by catching the Interrupt or not — whether the
-    fault is survivable; ``repair`` is a no-op because a process that
-    died cannot be restarted from outside.
-    """
-
-    def __init__(self, victim: "Process"):
-        self.victim = victim
-
-    def fail(self, cause: Any = None) -> None:
-        if self.victim.is_alive:
-            self.victim.interrupt(cause)
-
-    def repair(self) -> None:
-        pass
-
-
-class BreakableResource:
-    """Breakable that takes a DES resource out of service."""
-
-    def __init__(self, resource: "Resource"):
-        self.resource = resource
-
-    def fail(self, cause: Any = None) -> None:
-        self.resource.set_out_of_service(True)
-
-    def repair(self) -> None:
-        self.resource.set_out_of_service(False)
-
-
-class BreakableStore:
-    """Breakable that takes a DES store/queue out of service."""
-
-    def __init__(self, store: "Store"):
-        self.store = store
-
-    def fail(self, cause: Any = None) -> None:
-        self.store.set_out_of_service(True)
-
-    def repair(self) -> None:
-        self.store.set_out_of_service(False)
-
-
-class BreakablePE:
-    """Breakable flipping a processing element's availability."""
-
-    def __init__(self, pe: "ProcessingElement"):
-        self.pe = pe
-
-    def fail(self, cause: Any = None) -> None:
-        self.pe.fail(cause)
-
-    def repair(self) -> None:
-        self.pe.repair()
-
-
-class BreakableLink:
-    """Breakable for one interconnect link (``src`` → ``dst``)."""
-
-    def __init__(self, interconnect: "Interconnect", src: str, dst: str):
-        self.interconnect = interconnect
-        self.src = src
-        self.dst = dst
-
-    def fail(self, cause: Any = None) -> None:
-        self.interconnect.fail_link(self.src, self.dst)
-
-    def repair(self) -> None:
-        self.interconnect.repair_link(self.src, self.dst)
 
 
 class FaultInjector:
@@ -386,21 +282,6 @@ def all_down_intervals(
     if down_count == n_replicas and horizon > all_down_since:
         intervals.append((all_down_since, horizon))  # pragma: no cover
     return intervals
-
-
-def any_up_fraction(down_windows: list[list[tuple[float, float | None]]],
-                    horizon: float) -> float:
-    """Fraction of ``[0, horizon]`` during which at least one of the
-    replicas was up (0.0 when there are no replicas at all)."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if not down_windows:
-        return 0.0
-    all_down = sum(
-        end - start
-        for start, end in all_down_intervals(down_windows, horizon)
-    )
-    return 1.0 - all_down / horizon
 
 
 def session_fault_plan(

@@ -2,7 +2,7 @@
 
 Source (encoder) → Tx-buffer → Channel (lossy/lossless automaton) →
 Rx-buffer → Sink (decoder/display), plus the MPEG-2 decoder process
-network of Fig.1(b) and lip-sync analysis (§2.1).
+network of Fig.1(b) (§2.1).
 """
 
 from repro.streams.channel import (
@@ -24,7 +24,6 @@ from repro.streams.mpeg2 import (
 )
 from repro.streams.packets import FrameType, Packet
 from repro.streams.pipeline import StreamPipeline, StreamReport
-from repro.streams.playout import required_startup_delay, size_playout
 from repro.streams.rate_adaptation import (
     RateArqPoint,
     explore_rate_arq,
@@ -37,12 +36,6 @@ from repro.streams.source import (
     MpegSource,
     StreamSource,
     VBRSource,
-)
-from repro.streams.sync import (
-    SkewReport,
-    SyncMonitor,
-    SyncTolerance,
-    resync_schedule,
 )
 
 __all__ = [
@@ -69,13 +62,7 @@ __all__ = [
     "single_cpu_platform",
     "simulate_mpeg2_decoder",
     "Mpeg2DecoderReport",
-    "SyncTolerance",
-    "SyncMonitor",
-    "SkewReport",
-    "resync_schedule",
     "RateArqPoint",
     "explore_rate_arq",
     "pareto_points",
-    "required_startup_delay",
-    "size_playout",
 ]

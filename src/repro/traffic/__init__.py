@@ -15,11 +15,7 @@ from repro.traffic.onoff import (
     pareto_sojourns,
     taqqu_hurst,
 )
-from repro.traffic.queueing import (
-    TraceQueueResult,
-    queue_tail,
-    simulate_trace_queue,
-)
+from repro.traffic.queueing import TraceQueueResult, simulate_trace_queue
 
 __all__ = [
     "FgnGenerator",
@@ -39,5 +35,4 @@ __all__ = [
     "periodogram_hurst",
     "TraceQueueResult",
     "simulate_trace_queue",
-    "queue_tail",
 ]

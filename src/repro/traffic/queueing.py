@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TraceQueueResult", "simulate_trace_queue", "queue_tail"]
+__all__ = ["TraceQueueResult", "simulate_trace_queue"]
 
 
 @dataclass
@@ -89,11 +89,3 @@ def simulate_trace_queue(
         occupancies=occupancies,
     )
 
-
-def queue_tail(
-    trace, service_per_slot: float, levels
-) -> np.ndarray:
-    """Convenience: survival function P[Q > level] of the infinite-buffer
-    queue fed by ``trace``."""
-    result = simulate_trace_queue(trace, service_per_slot)
-    return result.survival(levels)

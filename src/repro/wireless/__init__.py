@@ -47,7 +47,6 @@ from repro.wireless.modulation import (
     QAM64,
     QPSK,
     db_to_linear,
-    linear_to_db,
 )
 
 __all__ = [
@@ -58,7 +57,6 @@ __all__ = [
     "QAM64",
     "MODULATIONS",
     "db_to_linear",
-    "linear_to_db",
     "ConvolutionalCode",
     "UNCODED",
     "CODE_LADDER",

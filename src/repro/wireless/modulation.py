@@ -19,19 +19,12 @@ from dataclasses import dataclass
 from scipy.special import erfc, erfcinv
 
 __all__ = ["Modulation", "BPSK", "QPSK", "QAM16", "QAM64",
-           "MODULATIONS", "db_to_linear", "linear_to_db"]
+           "MODULATIONS", "db_to_linear"]
 
 
 def db_to_linear(db: float) -> float:
     """Convert decibels to a linear power ratio."""
     return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(linear: float) -> float:
-    """Convert a linear power ratio to decibels."""
-    if linear <= 0:
-        raise ValueError("ratio must be positive")
-    return 10.0 * math.log10(linear)
 
 
 def _q(x: float) -> float:

@@ -10,7 +10,6 @@ from repro.asip import (
     PredefinedBlock,
     ProcessorParameters,
     STANDARD_BLOCKS,
-    parameter_sweep,
     select_blocks,
     voice_recognition_workload,
 )
@@ -120,13 +119,6 @@ class TestProcessorParameters:
         large = ProcessorParameters(icache_kb=32.0, dcache_kb=32.0,
                                     n_registers=64)
         assert large.gates() > small.gates()
-
-    def test_parameter_sweep_monotone(self):
-        rows = parameter_sweep()
-        multipliers = [m for _, m, _ in rows]
-        gates = [g for _, _, g in rows]
-        assert multipliers == sorted(multipliers, reverse=True)
-        assert gates == sorted(gates)
 
 
 class TestProcessorIntegration:

@@ -37,6 +37,13 @@ class TestProcessingElement:
         with pytest.raises(ValueError):
             pe.execution_time(-1.0)
 
+    def test_fail_and_repair(self):
+        pe = ProcessingElement(name="cpu0", frequency=1e9)
+        pe.fail()
+        assert not pe.available
+        pe.repair()
+        assert pe.available
+
 
 class TestBusInterconnect:
     def test_local_transfer_free(self):
@@ -61,6 +68,15 @@ class TestBusInterconnect:
             BusInterconnect(bandwidth=0.0)
         with pytest.raises(ValueError):
             PointToPointInterconnect(bandwidth=-1.0)
+
+    def test_link_fail_and_repair(self):
+        interconnect = PointToPointInterconnect()
+        assert interconnect.link_available("cpu0", "mem0")
+        interconnect.fail_link("cpu0", "mem0")
+        assert not interconnect.link_available("cpu0", "mem0")
+        assert not interconnect.link_available("mem0", "cpu0")
+        interconnect.repair_link("cpu0", "mem0")
+        assert interconnect.link_available("cpu0", "mem0")
 
 
 class TestPlatform:

@@ -1,10 +1,10 @@
-"""Tests for resources and priority resources."""
+"""Tests for resources."""
 
 import gc
 
 import pytest
 
-from repro.des import Environment, Interrupt, PriorityResource, Resource
+from repro.des import Environment, Interrupt, Resource
 from repro.obs import MetricRegistry
 
 
@@ -121,69 +121,3 @@ class TestResource:
         gc.collect()
         assert grants.value == 1
 
-
-class TestPriorityResource:
-    def test_priority_order(self):
-        env = Environment()
-        cpu = PriorityResource(env, capacity=1)
-        log = []
-
-        def job(env, name, priority):
-            yield env.timeout(0.1)  # let the holder grab it first
-            with cpu.request(priority=priority) as req:
-                yield req
-                yield env.timeout(1)
-                log.append(name)
-
-        def holder(env):
-            with cpu.request(priority=0) as req:
-                yield req
-                yield env.timeout(2)
-                log.append("holder")
-
-        env.process(holder(env))
-        env.process(job(env, "low", priority=5))
-        env.process(job(env, "high", priority=1))
-        env.run()
-        assert log == ["holder", "high", "low"]
-
-    def test_fifo_within_priority(self):
-        env = Environment()
-        cpu = PriorityResource(env, capacity=1)
-        log = []
-
-        def job(env, name):
-            yield env.timeout(0.1)
-            with cpu.request(priority=3) as req:
-                yield req
-                yield env.timeout(1)
-                log.append(name)
-
-        def holder(env):
-            with cpu.request() as req:
-                yield req
-                yield env.timeout(1)
-
-        env.process(holder(env))
-        env.process(job(env, "first"))
-        env.process(job(env, "second"))
-        env.run()
-        assert log == ["first", "second"]
-
-    def test_queue_property_sorted(self):
-        env = Environment()
-        cpu = PriorityResource(env, capacity=1)
-        cpu.request(priority=0)      # granted
-        late = cpu.request(priority=9)
-        early = cpu.request(priority=1)
-        assert cpu.queue == [early, late]
-
-    def test_release_waiting_priority_request(self):
-        env = Environment()
-        cpu = PriorityResource(env, capacity=1)
-        holder = cpu.request(priority=0)
-        waiter = cpu.request(priority=1)
-        cpu.release(waiter)
-        assert cpu.queue == []
-        cpu.release(holder)
-        assert cpu.count == 0

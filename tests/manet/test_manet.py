@@ -14,12 +14,10 @@ from repro.manet import (
     MinimumPowerRouting,
     PROTOCOLS,
     RadioModel,
-    RandomWalkMobility,
     compare_protocols,
     random_network,
     simulate_lifetime,
 )
-from repro.utils.rng import spawn_rng
 
 
 class TestRadioModel:
@@ -269,26 +267,3 @@ class TestLifetime:
         with pytest.raises(ValueError):
             simulate_lifetime(MinimumPowerRouting(), network,
                               n_sessions=0)
-
-
-class TestMobility:
-    def test_nodes_stay_in_area(self):
-        network = random_network(n_nodes=10, area=100.0, seed=1)
-        mobility = RandomWalkMobility(area=100.0, max_step=50.0)
-        rng = spawn_rng(0, "mobility-test")
-        for _ in range(50):
-            mobility.step(network, rng)
-        for node in network.nodes.values():
-            assert 0.0 <= node.x <= 100.0
-            assert 0.0 <= node.y <= 100.0
-
-    def test_nodes_actually_move(self):
-        network = random_network(n_nodes=5, seed=2)
-        before = [(n.x, n.y) for n in network.nodes.values()]
-        RandomWalkMobility().step(network, spawn_rng(1, "m"))
-        after = [(n.x, n.y) for n in network.nodes.values()]
-        assert before != after
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RandomWalkMobility(area=0.0)

@@ -20,11 +20,13 @@ from repro.noc import (
     video_surveillance_apcg,
 )
 from repro.noc.mapping import NocMapping
+from repro.obs.metrics import MetricRegistry
 
 
 class TestNocNetwork:
     def test_single_packet_latency(self):
-        env = Environment()
+        registry = MetricRegistry()
+        env = Environment(metrics=registry)
         network = NocNetwork(env, Mesh2D(3, 3), link_bandwidth=1e9,
                              router_latency=10e-9)
         packet = network.new_packet(Tile(0, 0), Tile(2, 0),
@@ -36,7 +38,9 @@ class TestNocNetwork:
             2 * (10e-9 + 1e-6), rel=1e-6
         )
         assert network.stats.delivered == 1
-        assert network.stats.hop_count.mean == 2
+        hops = registry.get("noc_hops")
+        assert hops.count == 1
+        assert hops.mean == 2
 
     def test_contention_serializes(self):
         env = Environment()

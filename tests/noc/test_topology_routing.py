@@ -9,7 +9,6 @@ from repro.noc import (
     NocEnergyModel,
     Tile,
     route_links,
-    west_first_route,
     xy_route,
 )
 
@@ -102,29 +101,12 @@ class TestRouting:
         for a, b in route_links(path):
             assert mesh.hops(a, b) == 1  # each step is one link
 
-    @settings(max_examples=50)
-    @given(tile_strategy(), tile_strategy())
-    def test_west_first_minimal(self, src, dst):
-        mesh = Mesh2D(5, 5)
-        path = west_first_route(mesh, src, dst)
-        assert path[0] == src and path[-1] == dst
-        assert len(path) - 1 == mesh.hops(src, dst)
-
-    def test_west_first_goes_west_first(self):
-        mesh = Mesh2D(4, 4)
-        path = west_first_route(mesh, Tile(3, 0), Tile(0, 3))
-        xs = [t.x for t in path]
-        # strictly non-increasing x until the westmost point
-        westmost = xs.index(0)
-        assert xs[:westmost + 1] == sorted(xs[:westmost + 1],
-                                           reverse=True)
-
     def test_routes_validate_tiles(self):
         mesh = Mesh2D(2, 2)
         with pytest.raises(ValueError):
             xy_route(mesh, Tile(0, 0), Tile(5, 0))
         with pytest.raises(ValueError):
-            west_first_route(mesh, Tile(5, 0), Tile(0, 0))
+            xy_route(mesh, Tile(5, 0), Tile(0, 0))
 
 
 class TestEnergyModel:

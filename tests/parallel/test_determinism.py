@@ -12,12 +12,6 @@ import json
 
 import pytest
 
-from repro.noc import (
-    Mesh2D,
-    NocEnergyModel,
-    mms_apcg,
-    parallel_annealing_mapping,
-)
 from repro.obs import perf
 from repro.parallel import run_replicated
 
@@ -75,25 +69,3 @@ class TestBenchWorkerInvariance:
         assert "workers" not in stripped["experiments"][0]
         assert "workers" not in stripped["meta"]
         assert stripped["experiments"][0]["replicas"] == 2
-
-
-class TestAnnealingMultiStart:
-    def test_workers_do_not_change_the_winner(self):
-        tg, mesh = mms_apcg(), Mesh2D(4, 4)
-        serial = parallel_annealing_mapping(
-            tg, mesh, n_starts=3, workers=1, n_iterations=1500)
-        fanned = parallel_annealing_mapping(
-            tg, mesh, n_starts=3, workers=4, n_iterations=1500)
-        assert serial == fanned
-
-    def test_more_starts_never_worse(self):
-        tg, mesh = mms_apcg(), Mesh2D(4, 4)
-        energy = NocEnergyModel()
-        one = parallel_annealing_mapping(
-            tg, mesh, energy=energy, n_starts=1, workers=1,
-            n_iterations=1500)
-        four = parallel_annealing_mapping(
-            tg, mesh, energy=energy, n_starts=4, workers=2,
-            n_iterations=1500)
-        assert (four.communication_energy(tg, energy)
-                <= one.communication_energy(tg, energy))

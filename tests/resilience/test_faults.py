@@ -1,29 +1,29 @@
-"""Fault injectors: models, adapters, windows, reproducibility."""
+"""Fault injectors: models, windows, reproducibility."""
 
 import pytest
 
-from repro.core.architecture import (
-    PointToPointInterconnect,
-    ProcessingElement,
-)
-from repro.des import Environment, Store
-from repro.des.events import Interrupt
-from repro.des.resources import Resource
+from repro.des import Environment
 from repro.resilience import (
-    BreakableLink,
-    BreakablePE,
-    BreakableResource,
-    BreakableStore,
-    CallbackBreakable,
     FailureModel,
     FaultEvent,
     FaultInjector,
-    ProcessKill,
     all_down_intervals,
-    any_up_fraction,
     session_fault_plan,
 )
 from repro.utils.rng import spawn_rng
+
+
+class Recorder:
+    """A breakable target that logs the cause of every fault."""
+
+    def __init__(self):
+        self.causes = []
+
+    def fail(self, cause=None):
+        self.causes.append(cause)
+
+    def repair(self):
+        pass
 
 
 class TestFailureModel:
@@ -81,11 +81,11 @@ class TestFaultInjector:
 
     def test_permanent_fault_fires_once(self):
         env = Environment()
-        log = []
-        target = CallbackBreakable(on_fail=lambda c: log.append(c))
+        target = Recorder()
         injector = FaultInjector(env, target, FailureModel.crash(2.0),
                                  seed=3)
         env.run(until=100.0)
+        log = target.causes
         assert injector.n_failures == 1
         assert len(log) == 1
         assert isinstance(log[0], FaultEvent)
@@ -116,8 +116,8 @@ class TestFaultInjector:
 
     def test_stop_retires_injector(self):
         env = Environment()
-        hits = []
-        target = CallbackBreakable(on_fail=lambda c: hits.append(c))
+        target = Recorder()
+        hits = target.causes
         injector = FaultInjector(
             env, target, FailureModel.exponential(mtbf=1.0, mttr=0.1),
             seed=0,
@@ -129,62 +129,6 @@ class TestFaultInjector:
         assert len(hits) == count
 
 
-class TestBreakables:
-    def test_process_kill_interrupts_victim(self):
-        env = Environment()
-        causes = []
-
-        def worker(env):
-            while True:
-                try:
-                    yield env.timeout(10)
-                except Interrupt as interrupt:
-                    causes.append(interrupt.cause)
-
-        victim = env.process(worker(env))
-        FaultInjector(env, ProcessKill(victim),
-                      FailureModel.exponential(mtbf=3.0, mttr=1.0),
-                      seed=2)
-        env.run(until=30.0)
-        assert causes
-        assert all(isinstance(c, FaultEvent) for c in causes)
-
-    def test_breakable_resource_roundtrip(self):
-        env = Environment()
-        resource = Resource(env, capacity=1)
-        breakable = BreakableResource(resource)
-        breakable.fail()
-        assert resource.out_of_service
-        breakable.repair()
-        assert not resource.out_of_service
-
-    def test_breakable_store_roundtrip(self):
-        env = Environment()
-        store = Store(env)
-        breakable = BreakableStore(store)
-        breakable.fail()
-        assert store.out_of_service
-        breakable.repair()
-        assert not store.out_of_service
-
-    def test_breakable_pe_and_platform(self):
-        pe = ProcessingElement(name="cpu0", frequency=1e9)
-        BreakablePE(pe).fail()
-        assert not pe.available
-        BreakablePE(pe).repair()
-        assert pe.available
-
-    def test_breakable_link(self):
-        interconnect = PointToPointInterconnect()
-        breakable = BreakableLink(interconnect, "cpu0", "mem0")
-        assert interconnect.link_available("cpu0", "mem0")
-        breakable.fail()
-        assert not interconnect.link_available("cpu0", "mem0")
-        assert not interconnect.link_available("mem0", "cpu0")
-        breakable.repair()
-        assert interconnect.link_available("cpu0", "mem0")
-
-
 class TestWindowAlgebra:
     def test_all_down_intervals_intersection(self):
         windows = [
@@ -194,15 +138,6 @@ class TestWindowAlgebra:
         assert all_down_intervals(windows, 10.0) == [
             (2.0, 4.0), (8.0, 9.0),
         ]
-
-    def test_any_up_fraction(self):
-        windows = [
-            [(0.0, 4.0), (8.0, None)],
-            [(2.0, 6.0), (7.0, 9.0)],
-        ]
-        assert any_up_fraction(windows, 10.0) == pytest.approx(0.7)
-        assert any_up_fraction([], 10.0) == 0.0
-        assert any_up_fraction([[]], 10.0) == 1.0
 
     def test_horizon_validation(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,10 @@
-"""Tests for the Fig.1(b) MPEG-2 decoder model and lip-sync analysis."""
-
-import math
+"""Tests for the Fig.1(b) MPEG-2 decoder model."""
 
 import pytest
 
 from repro.streams import (
     Mpeg2Workload,
-    SyncMonitor,
-    SyncTolerance,
     build_mpeg2_application,
-    resync_schedule,
     simulate_mpeg2_decoder,
 )
 
@@ -63,77 +58,3 @@ class TestMpeg2Simulation:
         b = simulate_mpeg2_decoder(horizon=5.0, seed=4)
         assert a.throughput_fps == b.throughput_fps
         assert a.mean_latency == b.mean_latency
-
-
-class TestSyncTolerance:
-    def test_window(self):
-        tol = SyncTolerance(max_lead=0.08, max_lag=0.08)
-        assert tol.in_sync(0.0)
-        assert tol.in_sync(0.08)
-        assert not tol.in_sync(0.09)
-        assert not tol.in_sync(-0.09)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SyncTolerance(max_lead=-0.1)
-
-
-class TestSyncMonitor:
-    def test_perfect_sync(self):
-        mon = SyncMonitor(rate_a=25.0, rate_b=25.0)
-        for k in range(10):
-            mon.record_a(k, k / 25.0)
-            mon.record_b(k, k / 25.0)
-        report = mon.report()
-        assert report.mean_skew == pytest.approx(0.0)
-        assert report.fraction_out_of_sync == 0.0
-        assert report.acceptable
-
-    def test_constant_lag_detected(self):
-        mon = SyncMonitor(rate_a=25.0, rate_b=25.0)
-        for k in range(10):
-            mon.record_a(k, k / 25.0 + 0.2)  # A presented late
-            mon.record_b(k, k / 25.0)
-        report = mon.report()
-        assert report.mean_skew == pytest.approx(0.2)
-        assert report.fraction_out_of_sync == 1.0
-        assert not report.acceptable
-
-    def test_unmatched_units_ignored(self):
-        mon = SyncMonitor(rate_a=25.0, rate_b=25.0)
-        mon.record_a(0, 0.0)
-        mon.record_b(1, 0.04)
-        report = mon.report()
-        assert report.n_samples == 0
-        assert math.isnan(report.mean_skew)
-
-    def test_different_rates_normalized(self):
-        # audio at 50 units/s, video at 25 fps, both perfectly on time
-        mon = SyncMonitor(rate_a=50.0, rate_b=25.0)
-        for k in range(20):
-            mon.record_a(k, k / 50.0)
-            mon.record_b(k, k / 25.0)
-        assert mon.report().mean_skew == pytest.approx(0.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SyncMonitor(rate_a=0.0, rate_b=25.0)
-
-
-class TestResyncSchedule:
-    def test_in_tolerance_no_action(self):
-        tol = SyncTolerance()
-        assert resync_schedule(0.05, tol, frame_period=0.04) == 0
-
-    def test_lagging_stream_drops_frames(self):
-        tol = SyncTolerance()
-        # lagging (positive skew) by 120 ms at 40 ms frames -> drop 3
-        assert resync_schedule(0.12, tol, frame_period=0.04) == 3
-
-    def test_leading_stream_repeats_frames(self):
-        tol = SyncTolerance()
-        assert resync_schedule(-0.12, tol, frame_period=0.04) == -3
-
-    def test_invalid_period(self):
-        with pytest.raises(ValueError):
-            resync_schedule(0.0, SyncTolerance(), frame_period=0.0)

@@ -28,11 +28,9 @@ MODULES_WITH_DOCTESTS = [
     "repro.noc.routing",
     "repro.noc.topology",
     "repro.streams.pipeline",
-    "repro.streams.sync",
     "repro.traffic.fgn",
     "repro.wireless.channel",
     "repro.wireless.packet_channel",
-    "repro.asip.retarget",
     "repro.ambient.users",
 ]
 

@@ -12,7 +12,6 @@ from repro.traffic import (
     mmpp2_trace,
     periodogram_hurst,
     poisson_trace,
-    queue_tail,
     rs_hurst,
     simulate_trace_queue,
     taqqu_hurst,
@@ -185,8 +184,8 @@ class TestTraceQueue:
         mean_rate, service = 10.0, 12.0
         ss = fgn_trace(2**14, 0.85, mean_rate, peakedness=0.4, seed=15)
         po = poisson_trace(2**14, mean_rate, seed=16)
-        tail_ss = queue_tail(ss, service, [20.0])[0]
-        tail_po = queue_tail(po, service, [20.0])[0]
+        tail_ss = simulate_trace_queue(ss, service).survival([20.0])[0]
+        tail_po = simulate_trace_queue(po, service).survival([20.0])[0]
         assert tail_ss > 50 * max(tail_po, 1e-6)
 
     def test_validation(self):

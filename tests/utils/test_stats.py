@@ -1,11 +1,16 @@
 """Tests for streaming statistics accumulators."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
 from repro.utils import (
     SummaryStats,
@@ -167,6 +172,28 @@ class TestConfidenceInterval:
         _, hw_small = confidence_interval(rng.normal(size=10))
         _, hw_large = confidence_interval(rng.normal(size=1000))
         assert hw_large < hw_small
+
+    @pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99])
+    def test_quantile_matches_scipy_t_ppf_exactly(self, confidence):
+        rng = np.random.default_rng(7)
+        for df in range(1, 201):
+            sample = rng.normal(size=df + 1)
+            sem = float(sample.std(ddof=1)) / math.sqrt(sample.size)
+            t = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=df))
+            _, hw = confidence_interval(sample, confidence=confidence)
+            assert hw == t * sem, df
+
+    def test_experiment_registry_does_not_import_scipy_stats(self):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ)
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = (src if not existing
+                             else src + os.pathsep + existing)
+        code = ("import sys, repro.experiments; repro.experiments.ids(); "
+                "print('scipy.stats' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestBatchMeans:
